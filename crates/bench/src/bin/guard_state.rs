@@ -75,16 +75,13 @@ struct RunResult {
 
 /// Raises `BURST` datagrams for each of `flows` flows (consecutively per
 /// flow, back-to-back in simulated time) and returns the accept/drop
-/// split plus the mean per-packet CPU cost. `compiled` picks the guard
-/// tier; both tiers charge the same simulated cycles, so every result
-/// must be identical across them.
-fn run(flows: u32, guard_based: bool, compiled: bool) -> RunResult {
+/// split plus the mean per-packet CPU cost.
+fn run(flows: u32, guard_based: bool) -> RunResult {
     let mut engine = Engine::new();
     let cpu = Cpu::new(CostModel::alpha_3000_400());
     let d = Dispatcher::new();
     // One handler either way — measure the state mechanism, not demux.
     d.set_demux_enabled(false);
-    d.set_compiled_guards(compiled);
     let ev = d.define_event::<Dgram>("Udp.PacketRecv");
 
     let accepted = Rc::new(Cell::new(0u64));
@@ -211,20 +208,8 @@ fn main() {
     let mut report = BenchReport::new("guard_state");
     let mut rows = Vec::new();
     for flows in [1u32, 64, 4096] {
-        let guard = run(flows, true, true);
-        let handler = run(flows, false, true);
-        // The interpreted tier replays the identical policy decisions and
-        // simulated cycle charges — stateful guards included.
-        let guard_interp = run(flows, true, false);
-        assert_eq!(
-            (guard.accepted, guard.dropped, guard.mean_ns),
-            (
-                guard_interp.accepted,
-                guard_interp.dropped,
-                guard_interp.mean_ns
-            ),
-            "guard tier must not change verdicts or simulated cost"
-        );
+        let guard = run(flows, true);
+        let handler = run(flows, false);
         // Same arithmetic, but not bit-identical accept sets: guard-mode
         // drops are cheaper, so the clock advances differently and a few
         // refill millisecond boundaries land on different packets. The
@@ -238,10 +223,6 @@ fn main() {
         );
         let key = format!("flows_{flows:04}");
         report.latency_us(&format!("guard/{key}/per_packet"), guard.mean_ns / 1000.0);
-        report.latency_us(
-            &format!("guard_interp/{key}/per_packet"),
-            guard_interp.mean_ns / 1000.0,
-        );
         report.latency_us(
             &format!("handler/{key}/per_packet"),
             handler.mean_ns / 1000.0,
@@ -277,10 +258,9 @@ fn main() {
             &rows
         )
     );
-    println!("Both guard tiers (compiled and interpreted) agree packet for packet");
-    println!("on verdicts and simulated cycles. Over-rate packets die in the guard, never");
-    println!("paying handler dispatch or the table work — and the guard's state is");
-    println!("a verified bounded map the kernel admitted against a static cycle");
-    println!("bound, not an unbounded heap table (DESIGN.md §14).");
+    println!("Over-rate packets die in the guard, never paying handler dispatch or the");
+    println!("table work — and the guard's state is a verified bounded map the kernel");
+    println!("admitted against a static cycle bound, not an unbounded heap table");
+    println!("(DESIGN.md §14).");
     report::emit(&report);
 }

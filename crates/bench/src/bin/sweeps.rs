@@ -69,10 +69,8 @@ fn payload_sweep(report: &mut BenchReport) {
 /// RTT with `extra` additional endpoints bound on the echo server: each is
 /// one more guard on `Udp.PacketRecv`. With `demux` off the dispatcher
 /// walks every guard per datagram; with it on, the hash index probes once
-/// and evaluates only the matching endpoint's guard. `compiled` selects
-/// the guard tier on both hosts; simulated time charges the same static
-/// cycle model either way, so the RTT must not depend on it.
-fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
+/// and evaluates only the matching endpoint's guard.
+fn rtt_with_endpoints(extra: usize, demux: bool) -> f64 {
     let ip = |last: u8| Ipv4Addr::new(10, 0, 0, last);
     let link = Link::ethernet();
     let mut world = World::new();
@@ -96,8 +94,6 @@ fn rtt_with_endpoints(extra: usize, demux: bool, compiled: bool) -> f64 {
     );
     client.dispatcher().set_demux_enabled(demux);
     server.dispatcher().set_demux_enabled(demux);
-    client.dispatcher().set_compiled_guards(compiled);
-    server.dispatcher().set_compiled_guards(compiled);
     client.seed_arp(ip(2), MacAddr::local(2));
     server.seed_arp(ip(1), MacAddr::local(1));
     let spec = ExtensionSpec::typesafe("sweep", &["UDP.Bind", "UDP.Send"]);
@@ -163,27 +159,13 @@ fn guard_scaling(report: &mut BenchReport) {
     let mut base_indexed = 0.0;
     for (i, extra) in [0usize, 3, 15, 63, 255].into_iter().enumerate() {
         let guards = extra + 1; // bystanders + the echo endpoint itself
-        let linear = rtt_with_endpoints(extra, false, true);
-        let indexed = rtt_with_endpoints(extra, true, true);
-        // The interpreted tier must land on the identical simulated RTT:
-        // tier selection changes host time, never the charged model.
-        let linear_interp = rtt_with_endpoints(extra, false, false);
-        let indexed_interp = rtt_with_endpoints(extra, true, false);
-        assert_eq!(
-            (linear, indexed),
-            (linear_interp, indexed_interp),
-            "guard tier must not change simulated time ({guards} guards)"
-        );
+        let linear = rtt_with_endpoints(extra, false);
+        let indexed = rtt_with_endpoints(extra, true);
         if i == 0 {
             base_linear = linear;
             base_indexed = indexed;
         }
-        for (mode, us) in [
-            ("linear", linear),
-            ("indexed", indexed),
-            ("linear_interp", linear_interp),
-            ("indexed_interp", indexed_interp),
-        ] {
+        for (mode, us) in [("linear", linear), ("indexed", indexed)] {
             let name = format!("guard_scaling/{mode}/guards_{guards:03}");
             report.latency_us(&name, us);
             scaling.latency_us(&name, us);
@@ -211,9 +193,7 @@ fn guard_scaling(report: &mut BenchReport) {
     );
     println!("The linear walk grows at ~0.3 us per guard; the hash index probes");
     println!("once per raise and stays flat no matter how many endpoints bind");
-    println!("(DESIGN.md §11). Compiled and interpreted guard tiers land on");
-    println!("identical simulated RTTs: the tier only changes host time");
-    println!("(DESIGN.md §18).");
+    println!("(DESIGN.md §11).");
     // Always materialize the golden, even under `--json` (CI validates it).
     match scaling.write() {
         Ok(path) => eprintln!("guard-scaling report: {}", path.display()),

@@ -199,8 +199,8 @@ pub fn udp_rtt_samples_ns_with_model(
 ) -> Vec<u64> {
     assert!(rounds > 0);
     match system {
-        System::PlexusInterrupt => plexus_rtt(link, payload, rounds, true, model, None, true),
-        System::PlexusThread => plexus_rtt(link, payload, rounds, false, model, None, true),
+        System::PlexusInterrupt => plexus_rtt(link, payload, rounds, true, model, None),
+        System::PlexusThread => plexus_rtt(link, payload, rounds, false, model, None),
         System::Dunix => dunix_rtt(link, payload, rounds, model),
         System::RawDriver => raw_rtt(link, payload, rounds, model),
     }
@@ -217,21 +217,6 @@ pub fn udp_rtt_traced(
     rounds: u32,
     recorder: &Rc<plexus_trace::Recorder>,
 ) -> Vec<u64> {
-    udp_rtt_traced_tier(interrupt, link, payload, rounds, recorder, true)
-}
-
-/// [`udp_rtt_traced`] with an explicit guard tier on both hosts'
-/// dispatchers. The compiled and interpreted tiers charge the same
-/// simulated cycles, so traces must be byte-identical across them — the
-/// determinism suite holds the system to that.
-pub fn udp_rtt_traced_tier(
-    interrupt: bool,
-    link: &Link,
-    payload: usize,
-    rounds: u32,
-    recorder: &Rc<plexus_trace::Recorder>,
-    compiled: bool,
-) -> Vec<u64> {
     assert!(rounds > 0);
     plexus_rtt(
         link,
@@ -240,7 +225,6 @@ pub fn udp_rtt_traced_tier(
         interrupt,
         &CostModel::alpha_3000_400(),
         Some(recorder),
-        compiled,
     )
 }
 
@@ -251,7 +235,6 @@ fn plexus_rtt(
     interrupt: bool,
     model: &CostModel,
     recorder: Option<&Rc<plexus_trace::Recorder>>,
-    compiled_guards: bool,
 ) -> Vec<u64> {
     let mut world = World::new();
     let a = world.add_machine_with_model("client", model.clone());
@@ -276,8 +259,6 @@ fn plexus_rtt(
     let server = PlexusStack::attach(&b, &nics[1], cfg(server_ip(), MacAddr::local(2)));
     client.seed_arp(server_ip(), MacAddr::local(2));
     server.seed_arp(client_ip(), MacAddr::local(1));
-    client.dispatcher().set_compiled_guards(compiled_guards);
-    server.dispatcher().set_compiled_guards(compiled_guards);
 
     let spec = ExtensionSpec::typesafe("rtt-bench", &["UDP.Bind", "UDP.Send"]);
     let cext = client.link_extension(&spec).unwrap();

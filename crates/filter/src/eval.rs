@@ -3,12 +3,12 @@
 //! [`eval`] is the reference interpreter: it only runs
 //! [`VerifiedProgram`]s, and even then is fully defensive — any anomaly
 //! (missing field, short payload, exhausted fuel) rejects the packet
-//! instead of faulting. It is no longer the only production tier:
-//! verification also lowers every accepted program to fused threaded
-//! code ([`crate::compile`]), which the dispatcher prefers on the hot
-//! path; the interpreter remains the semantic ground truth the compiled
-//! tier is differentially tested against, and the opt-out
-//! (`set_compiled_guards(false)`) falls back here. [`eval_unchecked`]
+//! instead of faulting. It is not on the dispatcher's raise path:
+//! verification lowers every accepted program to fused threaded code
+//! ([`crate::compile`]), and the dispatcher runs only that. The
+//! interpreter is the semantic ground truth the compiled tier is
+//! differentially tested against, and the baseline column of the
+//! `guard_eval` bench. [`eval_unchecked`]
 //! interprets a *raw* [`FilterProgram`] with no safety net; it exists to
 //! demonstrate (in tests) that programs the verifier rejects really
 //! would fault.

@@ -1,12 +1,13 @@
 //! The SPIN dynamic event dispatcher (§2).
 //!
 //! Kernel services and extensions *raise* events; extensions *install*
-//! handlers on them. A handler may carry a **guard** — an arbitrary
-//! predicate evaluated by the dispatcher before the handler is invoked — and
-//! Plexus uses guards as packet filters that demultiplex packets through the
-//! protocol graph. More than one handler may be installed on an event; the
-//! overhead of invoking each is roughly one procedure call, which the
-//! dispatcher charges to the caller's [`CpuLease`].
+//! handlers on them. A handler may carry a **guard** — a statically
+//! verified packet filter the dispatcher evaluates, on its install-time
+//! compiled tier, before the handler is invoked — and Plexus uses guards
+//! to demultiplex packets through the protocol graph. More than one
+//! handler may be installed on an event; the overhead of invoking each is
+//! roughly one procedure call, which the dispatcher charges to the
+//! caller's [`CpuLease`].
 //!
 //! Handlers are installed in one of two modes, matching Figure 5's bars:
 //!
@@ -33,26 +34,24 @@ use plexus_filter::{key_schema, DemuxKey, FieldKey, FieldSpec, KeySpec, Packet, 
 use plexus_sim::engine::Engine;
 use plexus_sim::time::SimDuration;
 use plexus_sim::CpuLease;
-use plexus_trace::{GuardKind, Scope};
+use plexus_trace::Scope;
 
 use crate::ephemeral::Ephemeral;
 
-/// A guard predicate: packet filter over the event argument.
-pub type GuardFn<T> = Box<dyn Fn(&T) -> bool>;
-
-/// A statically verified guard bound to its event argument type.
+/// A guard attached to a handler: a statically verified packet filter
+/// bound to its event argument type.
 ///
 /// Holds the [`VerifiedProgram`] (so managers and tooling can still
-/// inspect the installed filter) plus a monomorphized evaluator; the
-/// `T: Packet` obligation is discharged at construction, so the
-/// dispatcher's raise path needs no bound on `T`.
-pub struct VerifiedGuard<T> {
+/// inspect the installed filter) plus monomorphized entry points into its
+/// compiled tier and the demux field reader; the `T: Packet` obligation
+/// is discharged at construction, so the dispatcher's raise path needs no
+/// bound on `T`. Every guard passes the verifier, so every guard has a
+/// static worst-case cycle bound that interrupt admission can check.
+pub struct Guard<T> {
     program: Rc<VerifiedProgram>,
-    eval: fn(&VerifiedProgram, &T, u64) -> (bool, u32),
-    /// The compiled-tier evaluator: same verdicts, state mutations, and
-    /// metered cycles as `eval`, via the fused closure chain the verifier
+    /// The compiled-tier evaluator: the fused closure chain the verifier
     /// built at install time.
-    eval_compiled: fn(&VerifiedProgram, &T, u64) -> (bool, u32),
+    eval: fn(&VerifiedProgram, &T, u64) -> (bool, u32),
     /// Extracted demux key, when the program's acceptance is statically
     /// bounded over its event kind's key schema (see
     /// [`plexus_filter::DemuxKey`]).
@@ -62,34 +61,26 @@ pub struct VerifiedGuard<T> {
     read: fn(&T, FieldKey) -> Option<u64>,
 }
 
-impl<T: Packet + 'static> VerifiedGuard<T> {
+impl<T: Packet + 'static> Guard<T> {
     /// Binds a verified program to the event argument type `T`.
-    pub fn new(program: Rc<VerifiedProgram>) -> VerifiedGuard<T> {
+    pub fn verified(program: Rc<VerifiedProgram>) -> Guard<T> {
         let key = DemuxKey::extract(&program);
-        VerifiedGuard {
+        Guard {
             program,
-            eval: |p, arg, now| plexus_filter::eval_metered(p, arg, now),
-            eval_compiled: |p, arg, now| p.compiled().eval(arg, now),
+            eval: |p, arg, now| p.compiled().eval(arg, now),
             key,
             read: |arg, k| plexus_filter::read_field_key(arg, k),
         }
     }
 }
 
-impl<T> VerifiedGuard<T> {
+impl<T> Guard<T> {
     /// Evaluates the guard against an event argument at simulated time
     /// `now_ns` (which drives token-bucket refill in stateful guards),
     /// returning the verdict and the abstract cycles the evaluation spent
     /// — never more than [`VerifiedProgram::static_bound`].
     pub fn matches(&self, arg: &T, now_ns: u64) -> (bool, u32) {
         (self.eval)(&self.program, arg, now_ns)
-    }
-
-    /// [`VerifiedGuard::matches`] on the compiled tier. Observationally
-    /// identical (the differential property suite pins it); the two entry
-    /// points exist so the dispatcher's opt-out can A/B the tiers.
-    pub fn matches_compiled(&self, arg: &T, now_ns: u64) -> (bool, u32) {
-        (self.eval_compiled)(&self.program, arg, now_ns)
     }
 
     /// The verified program this guard runs.
@@ -100,40 +91,6 @@ impl<T> VerifiedGuard<T> {
     /// The extracted demux key, if the guard is indexable.
     pub fn key(&self) -> Option<&KeySpec> {
         self.key.as_ref()
-    }
-}
-
-/// A guard attached to a handler: either a legacy opaque closure or a
-/// statically verified filter program.
-///
-/// Closures remain available for thread-mode handlers (trusted in-kernel
-/// code and tests), but interrupt-mode installs require
-/// [`Guard::Verified`] — an unverifiable predicate has no business running
-/// in interrupt context.
-pub enum Guard<T> {
-    /// An opaque predicate closure (legacy; thread mode only).
-    Closure(GuardFn<T>),
-    /// A statically verified filter program.
-    Verified(VerifiedGuard<T>),
-}
-
-impl<T> Guard<T> {
-    /// Wraps a predicate closure.
-    pub fn closure(f: impl Fn(&T) -> bool + 'static) -> Guard<T> {
-        Guard::Closure(Box::new(f))
-    }
-
-    /// Wraps a verified program (requires `T: Packet`).
-    pub fn verified(program: Rc<VerifiedProgram>) -> Guard<T>
-    where
-        T: Packet + 'static,
-    {
-        Guard::Verified(VerifiedGuard::new(program))
-    }
-
-    /// Whether this guard carries verifier evidence.
-    pub fn is_verified(&self) -> bool {
-        matches!(self, Guard::Verified(_))
     }
 }
 
@@ -276,10 +233,6 @@ pub enum InstallError {
     /// An interrupt-mode spec whose handler was not certified via
     /// [`HandlerSpec::ephemeral`].
     UncertifiedInterrupt,
-    /// An interrupt-mode spec carrying a [`Guard::Closure`] — an
-    /// unverifiable predicate has no business running in interrupt
-    /// context.
-    ClosureGuardInterrupt,
     /// An interrupt-mode spec whose verified guard's static worst-case
     /// cycle bound exceeds the dispatcher's per-event interrupt budget.
     GuardOverBudget {
@@ -299,10 +252,6 @@ impl fmt::Display for InstallError {
                     "interrupt-mode installs require a certified ephemeral handler"
                 )
             }
-            InstallError::ClosureGuardInterrupt => write!(
-                f,
-                "interrupt-mode installs require a verified guard program (or no guard)"
-            ),
             InstallError::GuardOverBudget { bound, budget } => write!(
                 f,
                 "interrupt-mode install rejected: guard worst-case bound is {bound} cycles \
@@ -337,7 +286,7 @@ impl<T> Copy for Event<T> {}
 /// pins at `u64::MAX` rather than wrapping. When a
 /// [`plexus_trace::Recorder`] is installed on the raising CPU, the
 /// recorder's [`plexus_trace::Registry`] holds the superset (per-event,
-/// per-guard-kind, per-domain splits); this struct remains the cheap
+/// per-guard-verdict, per-domain splits); this struct remains the cheap
 /// aggregate view.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
@@ -345,17 +294,18 @@ pub struct DispatchStats {
     pub raises: u64,
     /// Handlers invoked.
     pub invocations: u64,
-    /// Guards evaluated (closures and verified programs combined).
+    /// Guards evaluated. Every guard is a verified filter program run on
+    /// its compiled tier.
     pub guard_evals: u64,
     /// Guards that rejected the argument.
     pub guard_rejects: u64,
-    /// Of `guard_evals`, how many ran a verified filter program.
+    /// Guards that ran a verified filter program: always `guard_evals`,
+    /// kept as its own counter for consumers that report the share.
     pub verified_guard_evals: u64,
-    /// Of `verified_guard_evals`, how many ran on the compiled tier
-    /// (fused closure chain) rather than the reference interpreter.
+    /// Guards that ran on the compiled tier (fused closure chain): always
+    /// `guard_evals`, kept as its own counter for consumers that report
+    /// the share.
     pub compiled_guard_evals: u64,
-    /// Of `guard_rejects`, how many came from a verified filter program.
-    pub verified_guard_rejects: u64,
     /// Ephemeral handlers terminated for exceeding their allotment.
     pub terminations: u64,
     /// Demux-index hash probes charged (`CostModel::demux_probe`). Once
@@ -380,7 +330,7 @@ impl fmt::Display for DispatchStats {
         write!(
             f,
             "raises={} invocations={} guard_evals={} (verified {}, compiled {}) \
-             guard_rejects={} (verified {}) terminations={} \
+             guard_rejects={} terminations={} \
              demux_probes={} demux_hits={} demux_fallbacks={} \
              demux_skipped={}",
             self.raises,
@@ -389,7 +339,6 @@ impl fmt::Display for DispatchStats {
             self.verified_guard_evals,
             self.compiled_guard_evals,
             self.guard_rejects,
-            self.verified_guard_rejects,
             self.terminations,
             self.demux_probes,
             self.demux_hits,
@@ -547,7 +496,6 @@ pub struct EventSummary {
     pub guarded: usize,
 }
 
-/// The dynamic event dispatcher. One per simulated kernel.
 /// Both facets of a stored table: the typed side (downcast on access) and
 /// the type-erased introspection side.
 type TableSlot = (Rc<dyn Any>, Rc<dyn TableInfo>);
@@ -561,7 +509,6 @@ pub struct Dispatcher {
     stats: Cell<DispatchStats>,
     trace: RefCell<Option<TraceRing>>,
     demux_enabled: Cell<bool>,
-    compiled_guards: Cell<bool>,
     interrupt_cycle_budget: Cell<u32>,
 }
 
@@ -590,7 +537,6 @@ impl Dispatcher {
             stats: Cell::new(DispatchStats::default()),
             trace: RefCell::new(None),
             demux_enabled: Cell::new(true),
-            compiled_guards: Cell::new(true),
             interrupt_cycle_budget: Cell::new(DEFAULT_INTERRUPT_CYCLE_BUDGET),
         })
     }
@@ -624,21 +570,6 @@ impl Dispatcher {
     /// Whether the demux fast path is enabled.
     pub fn demux_enabled(&self) -> bool {
         self.demux_enabled.get()
-    }
-
-    /// Selects the verified-guard evaluation tier (compiled by default).
-    /// With it off every verified guard runs the reference interpreter —
-    /// verdicts, state mutations, metered cycles, and therefore traces are
-    /// identical either way; only `compiled_guard_evals` and the per-tier
-    /// trace counters move. Differential tests and benchmarks use this to
-    /// A/B the tiers.
-    pub fn set_compiled_guards(&self, enabled: bool) {
-        self.compiled_guards.set(enabled);
-    }
-
-    /// Whether verified guards run on the compiled tier.
-    pub fn compiled_guards(&self) -> bool {
-        self.compiled_guards.get()
     }
 
     /// Turns on event tracing with a bounded ring of `capacity` entries
@@ -733,19 +664,17 @@ impl Dispatcher {
     /// Installs a handler described by a [`HandlerSpec`] — the single
     /// installation entry point.
     ///
-    /// When the spec's guard is a verified program with an extractable
-    /// demux key, the handler is also entered into the event's hash index,
-    /// so raises can skip its guard whenever the packet's key provably
-    /// mismatches.
+    /// When the spec's guard has an extractable demux key, the handler is
+    /// also entered into the event's hash index, so raises can skip its
+    /// guard whenever the packet's key provably mismatches.
     ///
     /// # Panics
     ///
     /// Panics with the [`InstallError`] message when
     /// [`Dispatcher::try_install`] would refuse the spec: an interrupt-mode
     /// handler not certified via [`HandlerSpec::ephemeral`] (§3.3's
-    /// evidence requirement), an interrupt-mode [`Guard::Closure`], or a
-    /// verified guard whose static worst-case bound exceeds the
-    /// per-event interrupt cycle budget.
+    /// evidence requirement), or an interrupt-mode guard whose static
+    /// worst-case bound exceeds the per-event interrupt cycle budget.
     pub fn install<T: 'static>(&self, event: Event<T>, spec: HandlerSpec<T>) -> HandlerId {
         self.try_install(event, spec)
             .unwrap_or_else(|e| panic!("{e}"))
@@ -755,12 +684,11 @@ impl Dispatcher {
     /// the admission-control entry point for specs built from untrusted
     /// extension input.
     ///
-    /// Interrupt-mode admission requires, beyond certification and a
-    /// verified (or absent) guard, that the guard program's
-    /// [`VerifiedProgram::static_bound`] fits the dispatcher's per-event
-    /// interrupt cycle budget: the raising context is the network
-    /// interrupt, and the static bound is the proof the filter cannot
-    /// stall it.
+    /// Interrupt-mode admission requires, beyond certification, that the
+    /// guard program's [`VerifiedProgram::static_bound`] fits the
+    /// dispatcher's per-event interrupt cycle budget: the raising context
+    /// is the network interrupt, and the static bound is the proof the
+    /// filter cannot stall it.
     pub fn try_install<T: 'static>(
         &self,
         event: Event<T>,
@@ -770,16 +698,12 @@ impl Dispatcher {
             if !spec.ephemeral {
                 return Err(InstallError::UncertifiedInterrupt);
             }
-            match &spec.guard {
-                Some(Guard::Closure(_)) => return Err(InstallError::ClosureGuardInterrupt),
-                Some(Guard::Verified(vg)) => {
-                    let bound = vg.program().static_bound();
-                    let budget = self.interrupt_cycle_budget.get();
-                    if bound > budget {
-                        return Err(InstallError::GuardOverBudget { bound, budget });
-                    }
+            if let Some(guard) = &spec.guard {
+                let bound = guard.program().static_bound();
+                let budget = self.interrupt_cycle_budget.get();
+                if bound > budget {
+                    return Err(InstallError::GuardOverBudget { bound, budget });
                 }
-                None => {}
             }
             HandlerMode::Interrupt {
                 time_limit: spec.time_limit,
@@ -815,8 +739,8 @@ impl Dispatcher {
         // accepted it — the raise path's skip test relies on "has a key"
         // implying "is in the buckets".
         let (key, read) = match &guard {
-            Some(Guard::Verified(vg)) => (vg.key().cloned(), Some(vg.read)),
-            _ => (None, None),
+            Some(g) => (g.key().cloned(), Some(g.read)),
+            None => (None, None),
         };
         let key = key.and_then(|spec| {
             let mut demux = table.demux.borrow_mut();
@@ -1077,47 +1001,23 @@ impl Dispatcher {
             }
             if let Some(guard) = &entry.guard {
                 stats.guard_evals = stats.guard_evals.saturating_add(1);
+                stats.verified_guard_evals = stats.verified_guard_evals.saturating_add(1);
+                stats.compiled_guard_evals = stats.compiled_guard_evals.saturating_add(1);
                 ctx.lease.charge(model.guard_eval);
-                let (matched, kind) = match guard {
-                    Guard::Closure(f) => (f(arg), GuardKind::Closure),
-                    Guard::Verified(vg) => {
-                        stats.verified_guard_evals = stats.verified_guard_evals.saturating_add(1);
-                        // Tier selection: the compiled closure chain by
-                        // default, the reference interpreter on opt-out.
-                        // Identical verdicts, state effects, and metered
-                        // cycles either way; the simulated charge above
-                        // (`model.guard_eval`) is the same by contract.
-                        let compiled = self.compiled_guards.get();
-                        let now_ns = ctx.lease.now().as_nanos();
-                        let (matched, measured) = if compiled {
-                            stats.compiled_guard_evals =
-                                stats.compiled_guard_evals.saturating_add(1);
-                            vg.matches_compiled(arg, now_ns)
-                        } else {
-                            vg.matches(arg, now_ns)
-                        };
-                        if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                            // Static-bound cross-check: counters only, so
-                            // recorder presence never changes behavior.
-                            r.guard_cost(
-                                lbl,
-                                u64::from(measured),
-                                u64::from(vg.program().static_bound()),
-                            );
-                            r.guard_tier(lbl, compiled);
-                        }
-                        (matched, GuardKind::Verified)
-                    }
-                };
+                let now_ns = ctx.lease.now().as_nanos();
+                let (matched, measured) = guard.matches(arg, now_ns);
                 if let (Some(r), Some(lbl)) = (&rec, ev_label) {
-                    r.guard_eval(ctx.lease.now().as_nanos(), lbl, kind, matched);
+                    // Static-bound cross-check: counters only, so recorder
+                    // presence never changes behavior.
+                    r.guard_cost(
+                        lbl,
+                        u64::from(measured),
+                        u64::from(guard.program().static_bound()),
+                    );
+                    r.guard_eval(now_ns, lbl, matched);
                 }
                 if !matched {
                     stats.guard_rejects = stats.guard_rejects.saturating_add(1);
-                    if guard.is_verified() {
-                        stats.verified_guard_rejects =
-                            stats.verified_guard_rejects.saturating_add(1);
-                    }
                     outcome.rejected += 1;
                     continue;
                 }
@@ -1198,7 +1098,7 @@ impl Dispatcher {
 ///
 /// Holds the resolved event table for the batch's lifetime. The first
 /// [`raise`](EventBatch::raise) charges the fixed `dispatch_raise` (and,
-/// on demux-indexed events, the single probe `guard_eval`) exactly like
+/// on demux-indexed events, the single `demux_probe`) exactly like
 /// [`Dispatcher::raise`]; subsequent raises skip only those fixed
 /// charges. Per-packet guard verdicts, handler invocation order,
 /// per-handler costs, and trace records are bit-identical to issuing the
@@ -1259,21 +1159,21 @@ mod tests {
     fn guards_filter_delivery() {
         let (mut engine, cpu) = ctx_parts();
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Guarded");
+        let ev = d.define_event::<UdpArg>("Guarded");
         let hits = Rc::new(Cell::new(0u32));
         let h = hits.clone();
         d.install(
             ev,
             HandlerSpec::new(move |_, _| h.set(h.get() + 1))
-                .guard(Guard::closure(|arg: &u32| arg.is_multiple_of(2))),
+                .guard(Guard::verified(accept_unless(&[5]))),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
         let mut ctx = RaiseCtx {
             engine: &mut engine,
             lease: &mut lease,
         };
-        assert_eq!(d.raise(&mut ctx, ev, &4).invoked, 1);
-        let out = d.raise(&mut ctx, ev, &5);
+        assert_eq!(d.raise(&mut ctx, ev, &UdpArg { dst_port: 4 }).invoked, 1);
+        let out = d.raise(&mut ctx, ev, &UdpArg { dst_port: 5 });
         assert_eq!(out.invoked, 0);
         assert_eq!(out.rejected, 1);
         assert_eq!(hits.get(), 1);
@@ -1285,17 +1185,17 @@ mod tests {
         let (mut engine, cpu) = ctx_parts();
         let model = cpu.model().clone();
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Costed");
+        let ev = d.define_event::<UdpArg>("Costed");
         d.install(
             ev,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|_| true)),
+            HandlerSpec::new(|_, _| {}).guard(Guard::verified(accept_unless(&[]))),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
         let mut ctx = RaiseCtx {
             engine: &mut engine,
             lease: &mut lease,
         };
-        d.raise(&mut ctx, ev, &0);
+        d.raise(&mut ctx, ev, &UdpArg { dst_port: 0 });
         let expected = model.dispatch_raise
             + model.guard_eval
             + model.thread_spawn
@@ -1331,10 +1231,10 @@ mod tests {
         let (mut engine, cpu) = ctx_parts();
         let model = cpu.model().clone();
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Batched");
+        let ev = d.define_event::<UdpArg>("Batched");
         d.install(
             ev,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|_| true)),
+            HandlerSpec::new(|_, _| {}).guard(Guard::verified(accept_unless(&[]))),
         );
         let per_item =
             model.guard_eval + model.thread_spawn + model.context_switch + model.dispatch_handler;
@@ -1345,11 +1245,11 @@ mod tests {
                 lease: &mut lease,
             };
             let mut batch = d.batch(ev);
-            batch.raise(&mut ctx, &0);
+            batch.raise(&mut ctx, &UdpArg { dst_port: 0 });
             // A batch of one costs exactly what a single raise costs.
             assert_eq!(ctx.lease.elapsed(), model.dispatch_raise + per_item);
-            batch.raise(&mut ctx, &1);
-            batch.raise(&mut ctx, &2);
+            batch.raise(&mut ctx, &UdpArg { dst_port: 1 });
+            batch.raise(&mut ctx, &UdpArg { dst_port: 2 });
         }
         // Later items skip only the fixed dispatch_raise charge.
         assert_eq!(lease.elapsed(), model.dispatch_raise + per_item.times(3));
@@ -1540,6 +1440,25 @@ mod tests {
         Rc::new(plexus_filter::verify(&prog).expect("builder output verifies"))
     }
 
+    /// An unindexable guard that accepts every destination port outside
+    /// `ports`: a bare `NotInSet` binds no key-schema field to a value, so
+    /// the demux index cannot hold it and every raise evaluates it.
+    pub(super) fn accept_unless(ports: &[u16]) -> Rc<VerifiedProgram> {
+        let set = plexus_filter::PortSet::new();
+        for &p in ports {
+            set.insert(p);
+        }
+        let prog = plexus_filter::conjunction(
+            plexus_filter::EventKind::UdpRecv,
+            &[plexus_filter::Test::NotInSet {
+                op: plexus_filter::Operand::Field(plexus_filter::Field::UdpDstPort),
+                set: 0,
+            }],
+            vec![set],
+        );
+        Rc::new(plexus_filter::verify(&prog).expect("builder output verifies"))
+    }
+
     #[test]
     fn verified_guards_filter_interrupt_delivery() {
         let (mut engine, cpu) = ctx_parts();
@@ -1568,42 +1487,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_distinguish_verified_from_closure_guard_evals() {
-        let (mut engine, cpu) = ctx_parts();
-        let d = Dispatcher::new();
-        let ev = d.define_event::<UdpArg>("Udp.Mixed");
-        // With the index on, the second raise would skip the verified
-        // guard entirely; force the linear scan to pin the historical
-        // counting behavior.
-        d.set_demux_enabled(false);
-        d.install(
-            ev,
-            HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                .guard(Guard::verified(port_program(53)))
-                .interrupt(),
-        );
-        d.install(
-            ev,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53)),
-        );
-        let mut lease = cpu.begin(SimTime::ZERO);
-        let mut ctx = RaiseCtx {
-            engine: &mut engine,
-            lease: &mut lease,
-        };
-        d.raise(&mut ctx, ev, &UdpArg { dst_port: 53 });
-        d.raise(&mut ctx, ev, &UdpArg { dst_port: 80 });
-        let stats = d.stats();
-        assert_eq!(stats.guard_evals, 4, "both guards, both raises");
-        assert_eq!(
-            stats.verified_guard_evals, 2,
-            "one verified guard, both raises"
-        );
-        assert_eq!(stats.guard_rejects, 2);
-        assert_eq!(stats.verified_guard_rejects, 1);
-    }
-
-    #[test]
     fn verified_guards_count_as_guarded_in_summaries() {
         let d = Dispatcher::new();
         let ev = d.define_event::<UdpArg>("Udp.Summarized");
@@ -1616,19 +1499,6 @@ mod tests {
         let summary = d.event_summary();
         assert_eq!(summary[0].handlers, 1);
         assert_eq!(summary[0].guarded, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "require a verified guard program")]
-    fn interrupt_installs_reject_closure_guards() {
-        let d = Dispatcher::new();
-        let ev = d.define_event::<UdpArg>("Udp.Strict");
-        d.install(
-            ev,
-            HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53))
-                .interrupt(),
-        );
     }
 
     #[test]
@@ -1724,17 +1594,27 @@ mod tests {
                 .unwrap_err(),
             InstallError::UncertifiedInterrupt
         );
-        assert_eq!(
+        assert!(matches!(
             d.try_install(
                 ev,
                 HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
-                    .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53))
+                    .guard(Guard::verified(expensive_program()))
+                    .interrupt(),
+            ),
+            Err(InstallError::GuardOverBudget { .. })
+        ));
+        assert_eq!(d.handler_count(ev), 0);
+        // Unindexable and indexable guards alike admit at interrupt level
+        // once they fit the budget.
+        let unindexed = d
+            .try_install(
+                ev,
+                HandlerSpec::ephemeral(Ephemeral::certify(|_: &mut RaiseCtx, _: &UdpArg| {}))
+                    .guard(Guard::verified(accept_unless(&[53])))
                     .interrupt(),
             )
-            .unwrap_err(),
-            InstallError::ClosureGuardInterrupt
-        );
-        assert_eq!(d.handler_count(ev), 0);
+            .expect("within budget");
+        assert!(d.uninstall(ev, unindexed));
         let id = d
             .try_install(
                 ev,
@@ -1867,12 +1747,12 @@ mod tests {
                         .guard(Guard::verified(port_program(port))),
                 );
             }
-            // One unindexable closure-guard handler mixed in.
+            // One unindexable guard mixed in.
             let o = order.clone();
             d.install(
                 ev,
                 HandlerSpec::new(move |_, _: &UdpArg| o.borrow_mut().push("z"))
-                    .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53)),
+                    .guard(Guard::verified(accept_unless(&[80]))),
             );
             let mut lease = cpu.begin(SimTime::ZERO);
             let mut ctx = RaiseCtx {
@@ -1956,8 +1836,7 @@ mod tests {
         let ev = d.define_event::<UdpArg>("Udp.Fallback");
         d.install(
             ev,
-            HandlerSpec::new(|_, _: &UdpArg| {})
-                .guard(Guard::closure(|arg: &UdpArg| arg.dst_port == 53)),
+            HandlerSpec::new(|_, _: &UdpArg| {}).guard(Guard::verified(accept_unless(&[80]))),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
         let mut ctx = RaiseCtx {
@@ -2105,6 +1984,7 @@ mod tests {
 
 #[cfg(test)]
 mod trace_tests {
+    use super::tests::{port_program, UdpArg};
     use super::*;
     use plexus_sim::cpu::{CostModel, Cpu};
     use plexus_sim::time::SimTime;
@@ -2117,11 +1997,11 @@ mod trace_tests {
     fn trace_records_raises_in_order() {
         let (mut engine, cpu) = ctx_parts();
         let d = Dispatcher::new();
-        let a = d.define_event::<u32>("Alpha");
+        let a = d.define_event::<UdpArg>("Alpha");
         let b = d.define_event::<u32>("Beta");
         d.install(
             a,
-            HandlerSpec::new(|_, _| {}).guard(Guard::closure(|x: &u32| *x > 0)),
+            HandlerSpec::new(|_, _| {}).guard(Guard::verified(port_program(5))),
         );
         d.install(b, HandlerSpec::new(|_, _: &u32| {}));
         d.enable_trace(8);
@@ -2130,8 +2010,8 @@ mod trace_tests {
             engine: &mut engine,
             lease: &mut lease,
         };
-        d.raise(&mut ctx, a, &5);
-        d.raise(&mut ctx, a, &0);
+        d.raise(&mut ctx, a, &UdpArg { dst_port: 5 });
+        d.raise(&mut ctx, a, &UdpArg { dst_port: 0 });
         d.raise(&mut ctx, b, &1);
         let trace = d.trace();
         assert_eq!(trace.len(), 3);
@@ -2166,6 +2046,7 @@ mod trace_tests {
 
 #[cfg(test)]
 mod recorder_tests {
+    use super::tests::{accept_unless, port_program, UdpArg};
     use super::*;
     use plexus_sim::cpu::{CostModel, Cpu};
     use plexus_sim::time::SimTime;
@@ -2179,11 +2060,13 @@ mod recorder_tests {
         cpu.set_recorder(Some(rec.clone()));
 
         let d = Dispatcher::new();
-        let ev = d.define_event::<u32>("Udp.PacketRecv");
+        // Force the linear scan so the rejecting raise runs the guard.
+        d.set_demux_enabled(false);
+        let ev = d.define_event::<UdpArg>("Udp.PacketRecv");
         d.install(
             ev,
             HandlerSpec::new(|_, _| {})
-                .guard(Guard::closure(|arg: &u32| *arg > 10))
+                .guard(Guard::verified(port_program(42)))
                 .owner("rtt-extension"),
         );
         let mut lease = cpu.begin(SimTime::ZERO);
@@ -2191,8 +2074,8 @@ mod recorder_tests {
             engine: &mut engine,
             lease: &mut lease,
         };
-        d.raise(&mut ctx, ev, &42);
-        d.raise(&mut ctx, ev, &3);
+        d.raise(&mut ctx, ev, &UdpArg { dst_port: 42 });
+        d.raise(&mut ctx, ev, &UdpArg { dst_port: 3 });
         drop(lease);
 
         let lbl = rec.intern("Udp.PacketRecv");
@@ -2205,8 +2088,8 @@ mod recorder_tests {
             })
         };
         assert_eq!(get(Scope::Event, lbl, "raises"), 2);
-        assert_eq!(get(Scope::Guard, lbl, "closure.accepts"), 1);
-        assert_eq!(get(Scope::Guard, lbl, "closure.rejects"), 1);
+        assert_eq!(get(Scope::Guard, lbl, "verified.accepts"), 1);
+        assert_eq!(get(Scope::Guard, lbl, "verified.rejects"), 1);
         assert_eq!(get(Scope::Handler, lbl, "invocations"), 1);
         assert_eq!(get(Scope::Domain, dom, "invocations"), 1);
 
@@ -2261,7 +2144,6 @@ mod recorder_tests {
 
     #[test]
     fn verified_guard_evals_record_the_static_bound_cross_check() {
-        use super::tests::{port_program, UdpArg};
         let mut engine = Engine::new();
         let cpu = Cpu::new(CostModel::alpha_3000_400());
         let rec = Recorder::new(64);
@@ -2315,17 +2197,17 @@ mod recorder_tests {
                 cpu.set_recorder(Some(Recorder::new(16)));
             }
             let d = Dispatcher::new();
-            let ev = d.define_event::<u32>("Same");
+            let ev = d.define_event::<UdpArg>("Same");
             d.install(
                 ev,
-                HandlerSpec::new(|_, _| {}).guard(Guard::closure(|_| true)),
+                HandlerSpec::new(|_, _| {}).guard(Guard::verified(port_program(0))),
             );
             let mut lease = cpu.begin(SimTime::ZERO);
             let mut ctx = RaiseCtx {
                 engine: &mut engine,
                 lease: &mut lease,
             };
-            d.raise(&mut ctx, ev, &0);
+            d.raise(&mut ctx, ev, &UdpArg { dst_port: 0 });
             (lease.elapsed(), d.stats())
         };
         assert_eq!(run(false), run(true));
@@ -2340,7 +2222,6 @@ mod recorder_tests {
             guard_rejects: 2,
             verified_guard_evals: 4,
             compiled_guard_evals: 4,
-            verified_guard_rejects: 1,
             terminations: 3,
             demux_probes: 5,
             demux_hits: 5,
@@ -2351,60 +2232,45 @@ mod recorder_tests {
         assert_eq!(
             s,
             "raises=10 invocations=8 guard_evals=6 (verified 4, compiled 4) \
-             guard_rejects=2 (verified 1) terminations=3 \
+             guard_rejects=2 terminations=3 \
              demux_probes=5 demux_hits=5 demux_fallbacks=2 \
              demux_skipped=9"
         );
         // Regression: the leading counters keep their exact wording, so
         // anything parsing the old prefix keeps working.
         assert!(s.starts_with("raises=10 invocations=8 guard_evals=6 (verified 4"));
-    }
 
-    /// The opt-out tier (reference interpreter) and the default compiled
-    /// tier select the same handlers, charge the same simulated time, and
-    /// move the same aggregate counters — only `compiled_guard_evals`
-    /// distinguishes them.
-    #[test]
-    fn guard_tiers_agree_on_dispatch() {
-        use super::tests::{port_program, UdpArg};
-        let prog = port_program(9);
-        let run = |compiled: bool| {
-            let mut engine = Engine::new();
-            let cpu = Cpu::new(CostModel::alpha_3000_400());
-            let d = Dispatcher::new();
-            d.set_compiled_guards(compiled);
-            assert_eq!(d.compiled_guards(), compiled);
-            // Guards only, no demux shortcut: every raise evaluates.
-            d.set_demux_enabled(false);
-            let ev = d.define_event::<UdpArg>("Udp.Tiered");
-            let hits = Rc::new(Cell::new(0u32));
-            let h = hits.clone();
-            d.install(
-                ev,
-                HandlerSpec::ephemeral(Ephemeral::certify(move |_: &mut RaiseCtx, _: &UdpArg| {
-                    h.set(h.get() + 1);
-                }))
-                .interrupt()
-                .guard(Guard::verified(prog.clone())),
-            );
-            let mut lease = cpu.begin(SimTime::ZERO);
-            let mut ctx = RaiseCtx {
-                engine: &mut engine,
-                lease: &mut lease,
-            };
-            for port in [9u64, 9, 7] {
-                d.raise(&mut ctx, ev, &UdpArg { dst_port: port });
-            }
-            (hits.get(), lease.elapsed(), d.stats())
+        // What a live dispatcher reports: every guard is verified and runs
+        // on the compiled tier, so the per-tier counters (which the host
+        // benchmark turns into shares) equal the total — over accepts,
+        // rejects, and both dispatch regimes.
+        let mut engine = Engine::new();
+        let cpu = Cpu::new(CostModel::alpha_3000_400());
+        let d = Dispatcher::new();
+        let indexed = d.define_event::<UdpArg>("Udp.Indexed");
+        let linear = d.define_event::<UdpArg>("Udp.Linear");
+        d.install(
+            indexed,
+            HandlerSpec::new(|_, _: &UdpArg| {}).guard(Guard::verified(port_program(9))),
+        );
+        d.install(
+            linear,
+            HandlerSpec::new(|_, _: &UdpArg| {}).guard(Guard::verified(accept_unless(&[7]))),
+        );
+        let mut lease = cpu.begin(SimTime::ZERO);
+        let mut ctx = RaiseCtx {
+            engine: &mut engine,
+            lease: &mut lease,
         };
-        let (hits_c, time_c, stats_c) = run(true);
-        let (hits_i, time_i, stats_i) = run(false);
-        assert_eq!(hits_c, 2);
-        assert_eq!(hits_i, 2);
-        assert_eq!(time_c, time_i, "tier selection must not change charges");
-        assert_eq!(stats_c.verified_guard_evals, stats_i.verified_guard_evals);
-        assert_eq!(stats_c.compiled_guard_evals, stats_c.verified_guard_evals);
-        assert_eq!(stats_i.compiled_guard_evals, 0);
-        assert_eq!(stats_c.guard_rejects, stats_i.guard_rejects);
+        for port in [9u64, 9, 7] {
+            d.raise(&mut ctx, indexed, &UdpArg { dst_port: port });
+            d.raise(&mut ctx, linear, &UdpArg { dst_port: port });
+        }
+        let stats = d.stats();
+        assert_eq!(stats.invocations, 4);
+        assert_eq!(stats.guard_rejects, 1, "the linear guard rejects port 7");
+        assert_eq!(stats.guard_evals, 5, "the index skips the port-7 eval");
+        assert_eq!(stats.verified_guard_evals, stats.guard_evals);
+        assert_eq!(stats.compiled_guard_evals, stats.guard_evals);
     }
 }

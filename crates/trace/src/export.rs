@@ -43,15 +43,12 @@ pub fn chrome_trace(rec: &Recorder) -> String {
                     }
                 },
             ),
-            TraceEvent::GuardEval {
-                event,
-                kind,
-                matched,
-            } => (
+            // "verified" names the guard kind in exported traces; every
+            // dispatcher guard is a verified program.
+            TraceEvent::GuardEval { event, matched } => (
                 format!(
-                    "guard {} {} {}",
+                    "guard {} verified {}",
                     rec.name(event),
-                    kind.name(),
                     if matched { "accept" } else { "reject" }
                 ),
                 "guard",
@@ -249,14 +246,14 @@ pub fn stats_json(rec: &Recorder) -> String {
 mod tests {
     use super::*;
     use crate::json::validate;
-    use crate::{CrossDir, GuardKind, Recorder};
+    use crate::{CrossDir, Recorder};
 
     fn populated() -> std::rc::Rc<Recorder> {
         let rec = Recorder::new(64);
         rec.packet_arrival(1_000, "Ethernet", 60);
         let ev = rec.intern("udp_recv");
         let dom = rec.intern("rtt-extension");
-        rec.guard_eval(1_300, ev, GuardKind::Verified, true);
+        rec.guard_eval(1_300, ev, true);
         let span = rec.handler_enter(1_600, ev, dom);
         rec.packet_tx(4_000, "Ethernet", 60, 0, 500, 1_000);
         rec.handler_exit(5_600, ev, dom, span);

@@ -46,26 +46,6 @@ pub use recorder::{Label, Recorder};
 pub use registry::{CounterKey, Histogram, Registry, Scope};
 pub use ring::Ring;
 
-/// Which flavour of guard the dispatcher evaluated (§2.3 vs PR 1's
-/// verified filter IR).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum GuardKind {
-    /// A statically verified filter-IR program.
-    Verified,
-    /// A native closure (trusted code only).
-    Closure,
-}
-
-impl GuardKind {
-    /// Stable lowercase name, used in counter metrics and exports.
-    pub fn name(self) -> &'static str {
-        match self {
-            GuardKind::Verified => "verified",
-            GuardKind::Closure => "closure",
-        }
-    }
-}
-
 /// Direction of a user/kernel boundary crossing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CrossDir {
@@ -103,12 +83,10 @@ pub enum TraceEvent {
         /// Frame length in bytes.
         bytes: u32,
     },
-    /// The dispatcher evaluated a guard on an event raise.
+    /// The dispatcher evaluated a (verified) guard on an event raise.
     GuardEval {
         /// Interned event (table) name.
         event: Label,
-        /// Verified IR or native closure.
-        kind: GuardKind,
         /// Whether the guard accepted (handler will run).
         matched: bool,
     },

@@ -1075,7 +1075,7 @@ pub fn profile_json(
 mod tests {
     use super::*;
     use crate::json::validate;
-    use crate::{GuardKind, Recorder};
+    use crate::Recorder;
 
     /// Two nested handlers with a guard eval between arrival and entry.
     fn nested() -> std::rc::Rc<Recorder> {
@@ -1085,7 +1085,7 @@ mod tests {
         let udp = rec.intern("Udp.PacketRecv");
         let kernel = rec.intern("ip");
         let app = rec.intern("echo-ext");
-        rec.guard_eval(1_300, eth, GuardKind::Verified, true);
+        rec.guard_eval(1_300, eth, true);
         let outer = rec.handler_enter(1_500, eth, kernel);
         let inner = rec.handler_enter(2_000, udp, app);
         rec.packet_tx(4_000, "Ethernet", 60, 100, 500, 1_000);

@@ -7,7 +7,7 @@ use std::rc::Rc;
 use crate::live::{LiveAgg, LiveConfig, LiveReport, SealHook};
 use crate::registry::{CounterKey, Registry, Scope};
 use crate::ring::Ring;
-use crate::{CrossDir, GuardKind, TraceEvent, TraceRecord};
+use crate::{CrossDir, TraceEvent, TraceRecord};
 
 /// A handle to an interned string. `Copy`, so trace records carrying names
 /// stay allocation-free; resolve back with [`Recorder::name`].
@@ -279,21 +279,13 @@ impl Recorder {
         }
     }
 
-    /// A guard was evaluated during an event raise.
-    pub fn guard_eval(&self, at_ns: u64, event: Label, kind: GuardKind, matched: bool) {
-        self.push(
-            at_ns,
-            TraceEvent::GuardEval {
-                event,
-                kind,
-                matched,
-            },
-        );
-        let metric = match (kind, matched) {
-            (GuardKind::Verified, true) => "verified.accepts",
-            (GuardKind::Verified, false) => "verified.rejects",
-            (GuardKind::Closure, true) => "closure.accepts",
-            (GuardKind::Closure, false) => "closure.rejects",
+    /// A verified guard was evaluated during an event raise.
+    pub fn guard_eval(&self, at_ns: u64, event: Label, matched: bool) {
+        self.push(at_ns, TraceEvent::GuardEval { event, matched });
+        let metric = if matched {
+            "verified.accepts"
+        } else {
+            "verified.rejects"
         };
         self.count(Scope::Guard, event, metric, 1);
     }
@@ -310,21 +302,6 @@ impl Recorder {
         if measured > bound {
             self.count(Scope::Guard, event, "cycles.exceeded", 1);
         }
-    }
-
-    /// Which tier evaluated one verified guard: the compiled closure
-    /// chain or the reference interpreter. Counters only (no ring
-    /// record), deliberately — the two tiers are observationally
-    /// identical, so the ring, the exporters, and every golden must stay
-    /// byte-identical whichever tier ran; only this per-tier split in the
-    /// registry moves.
-    pub fn guard_tier(&self, event: Label, compiled: bool) {
-        let metric = if compiled {
-            "tier.compiled"
-        } else {
-            "tier.interpreted"
-        };
-        self.count(Scope::Guard, event, metric, 1);
     }
 
     /// A handler began executing. Returns the span-correlation ID the
@@ -576,12 +553,12 @@ mod tests {
     }
 
     #[test]
-    fn guard_counters_split_by_kind_and_verdict() {
+    fn guard_counters_split_by_verdict() {
         let rec = Recorder::new(8);
         let ev = rec.intern("udp_recv");
-        rec.guard_eval(1, ev, GuardKind::Verified, true);
-        rec.guard_eval(2, ev, GuardKind::Verified, false);
-        rec.guard_eval(3, ev, GuardKind::Closure, true);
+        rec.guard_eval(1, ev, true);
+        rec.guard_eval(2, ev, false);
+        rec.guard_eval(3, ev, true);
         let get = |metric| {
             rec.registry().get(CounterKey {
                 scope: Scope::Guard,
@@ -589,9 +566,7 @@ mod tests {
                 metric,
             })
         };
-        assert_eq!(get("verified.accepts"), 1);
+        assert_eq!(get("verified.accepts"), 2);
         assert_eq!(get("verified.rejects"), 1);
-        assert_eq!(get("closure.accepts"), 1);
-        assert_eq!(get("closure.rejects"), 0);
     }
 }

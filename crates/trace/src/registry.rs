@@ -14,7 +14,7 @@ pub enum Scope {
     Packet,
     /// Per-event (dispatcher table) raises.
     Event,
-    /// Per-event guard evaluation, split verified/closure by the metric.
+    /// Per-event guard evaluation: verdicts and metered cycles.
     Guard,
     /// Per-event handler invocations.
     Handler,

@@ -10,7 +10,7 @@ use plexus_trace::flame::folded;
 use plexus_trace::json::{self, Value};
 use plexus_trace::live::{live_json, LiveConfig};
 use plexus_trace::profile::{profile_json, Profile, Slice};
-use plexus_trace::{timeline, CrossDir, GuardKind, Recorder, Scope};
+use plexus_trace::{timeline, CrossDir, Recorder, Scope};
 use proptest::prelude::*;
 
 /// A small closed label vocabulary (the vendored proptest has no string
@@ -48,7 +48,7 @@ fn populate(rec: &Recorder, steps: &[(usize, usize, u64)]) {
                     rec.handler_exit(at, ev, dom, span);
                 }
             }
-            2 => rec.guard_eval(at, ev, GuardKind::Verified, which % 2 == 0),
+            2 => rec.guard_eval(at, ev, which % 2 == 0),
             3 => rec.packet_drop(at, label(which), label(which + 2)),
             4 => rec.crossing(at, CrossDir::UserToKernel, which),
             5 => rec.sample(at, ev, dt),

@@ -477,7 +477,7 @@ proptest! {
 // Dispatcher demux index: indexed dispatch must be observationally identical
 // to the linear guard walk — same handlers invoked, in the same order, with
 // the same raise outcomes — for arbitrary mixes of indexable verified
-// guards, unindexable guards, closures, and live port-set mutation.
+// guards, unindexable guards, and live port-set mutation.
 // ---------------------------------------------------------------------------
 
 mod demux_equivalence {
@@ -516,14 +516,12 @@ mod demux_equivalence {
     }
 
     /// One installed handler's guard, spanning every dispatch path: no
-    /// guard, an opaque closure (never indexable), an indexable equality
-    /// or one-of on the schema field, a shared-set test (falls back:
-    /// NotIn alone yields no hash key), and an off-schema equality
-    /// (verified but unindexable).
+    /// guard, an indexable equality or one-of on the schema field, a
+    /// shared-set test (falls back: NotIn alone yields no hash key), and
+    /// an off-schema equality (unindexable).
     #[derive(Debug, Clone)]
     enum GuardKind {
         None,
-        Closure(u16),
         EqDst(u16),
         OneOfDst(Vec<u16>),
         NotInShared,
@@ -533,7 +531,6 @@ mod demux_equivalence {
     fn guard_kind() -> impl Strategy<Value = GuardKind> {
         prop_oneof![
             Just(GuardKind::None),
-            (0u16..8).prop_map(GuardKind::Closure),
             (0u16..8).prop_map(GuardKind::EqDst),
             proptest::collection::vec(0u16..8, 1..4).prop_map(GuardKind::OneOfDst),
             Just(GuardKind::NotInShared),
@@ -545,10 +542,6 @@ mod demux_equivalence {
         let dst = Operand::Field(Field::UdpDstPort);
         let (tests, sets): (Vec<Test>, Vec<PortSet>) = match kind {
             GuardKind::None => return None,
-            GuardKind::Closure(p) => {
-                let p = *p;
-                return Some(Guard::closure(move |d: &Dgram| d.dst_port == p));
-            }
             GuardKind::EqDst(p) => (vec![Test::eq(dst, u64::from(*p))], vec![]),
             GuardKind::OneOfDst(ports) => (
                 vec![Test::one_of(dst, ports.iter().map(|p| u64::from(*p)))],
@@ -596,9 +589,9 @@ mod demux_equivalence {
             let ev_lin = linear.define_event::<Dgram>("Udp.Equiv");
             let ev_idx = indexed.define_event::<Dgram>("Udp.Equiv");
             for (i, kind) in guards.iter().enumerate() {
-                // Guards are rebuilt per dispatcher from the same spec
-                // (closures are not Clone); NotInShared guards reference
-                // the one shared set either way.
+                // Guards are rebuilt per dispatcher from the same spec;
+                // NotInShared guards reference the one shared set either
+                // way.
                 let l = log_lin.clone();
                 linear.install(
                     ev_lin,

@@ -12,7 +12,7 @@ use plexus::trace::journey::{self, journeys_json};
 use plexus::trace::profile::{pingpong_waterfall, profile_json, Profile};
 use plexus::trace::timeline::{self, timeline_json};
 use plexus::trace::{json, CounterKey, Recorder, Scope, TraceEvent};
-use plexus_bench::udp_rtt::{udp_rtt_traced, udp_rtt_traced_tier, Link};
+use plexus_bench::udp_rtt::{udp_rtt_traced, Link};
 
 const ROUNDS: u32 = 10;
 
@@ -173,57 +173,6 @@ fn timeline_and_journey_exports_are_byte_identical_across_runs() {
     json::validate(&journeys_a).expect("journey JSON well-formed");
     assert!(journeys_a.contains("\"schema\": \"plexus.journey.v1\""));
     assert!(journeys_a.contains("\"orphan_packets_excluded\": 0"));
-}
-
-#[test]
-fn guard_tier_opt_out_leaves_traces_byte_identical() {
-    // `set_compiled_guards(false)` swaps every verified guard onto the
-    // reference interpreter. Both tiers charge the same static cycle
-    // model and return identical verdicts, so the measurement, the ring,
-    // and the exporters must not move a byte; only the registry's
-    // per-tier counters may differ.
-    let run = |compiled: bool| {
-        let recorder = Recorder::new(1 << 16);
-        let samples = udp_rtt_traced_tier(true, &Link::ethernet(), 8, ROUNDS, &recorder, compiled);
-        (recorder, samples)
-    };
-    let (comp, samples_comp) = run(true);
-    let (interp, samples_interp) = run(false);
-
-    assert_eq!(samples_comp, samples_interp);
-    assert_eq!(comp.events(), interp.events());
-    assert_eq!(chrome_trace(&comp), chrome_trace(&interp));
-
-    // stats_json differs exactly in the tier split and nothing else.
-    let strip_tier = |json: &str| -> Vec<String> {
-        json.lines()
-            .filter(|l| !l.contains(".tier."))
-            .map(str::to_string)
-            .collect()
-    };
-    let (sc, si) = (stats_json(&comp), stats_json(&interp));
-    assert_eq!(strip_tier(&sc), strip_tier(&si));
-
-    // Every verified guard eval lands on one tier's counter, and the
-    // measured cycles never exceeded the static bound on either tier.
-    for (rec, ours, theirs) in [
-        (&comp, "tier.compiled", "tier.interpreted"),
-        (&interp, "tier.interpreted", "tier.compiled"),
-    ] {
-        let reg = rec.registry();
-        for event in ["Ethernet.PacketRecv", "Udp.PacketRecv"] {
-            let key = |metric| CounterKey {
-                scope: Scope::Guard,
-                label: rec.intern(event),
-                metric,
-            };
-            let evals = reg.get(key("verified.accepts")) + reg.get(key("verified.rejects"));
-            assert!(evals > 0, "{event} guards never ran");
-            assert_eq!(reg.get(key(ours)), evals, "{event} {ours}");
-            assert_eq!(reg.get(key(theirs)), 0, "{event} {theirs}");
-            assert_eq!(reg.get(key("cycles.exceeded")), 0, "{event} over bound");
-        }
-    }
 }
 
 #[test]
