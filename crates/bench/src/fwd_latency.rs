@@ -207,7 +207,7 @@ fn plexus_fwd(link: &Link, payload: usize, rounds: u32) -> f64 {
 }
 
 /// The Plexus in-kernel forwarding scenario with a flight recorder
-/// attached, so `plexus-profile` can attribute the forwarder's cycles.
+/// attached, so `plexus-replay profile` can attribute the forwarder's cycles.
 /// Returns the mean round-trip in µs.
 pub fn plexus_fwd_traced(
     link: &Link,

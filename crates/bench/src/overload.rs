@@ -361,7 +361,7 @@ pub fn run_point(workload: Workload, mode: RxMode, link: &Link, offered: (u64, u
 }
 
 /// [`run_point`] with a flight recorder installed across the whole world,
-/// so `plexus-profile` can attribute the DUT's cycles under overload and
+/// so `plexus-replay profile` can attribute the DUT's cycles under overload and
 /// the determinism tests can compare event streams.
 pub fn run_point_traced(
     workload: Workload,

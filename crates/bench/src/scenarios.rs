@@ -1,13 +1,11 @@
-//! One shared scenario registry for the observability CLIs.
+//! The scenario registry `plexus-replay` replays.
 //!
-//! `plexus-trace`, `plexus-profile`, and `plexus-timeline` all replay the
-//! same deterministic worlds; before this registry each binary kept its
-//! own private scenario list and they drifted (different ring sizes,
-//! different subsets, duplicated help text). A [`Scenario`] bundles
-//! everything any of the CLIs needs: the run function, the
+//! Every `plexus-replay` subcommand (`trace`, `profile`, `timeline`,
+//! `health`) replays these deterministic worlds. A [`Scenario`] bundles
+//! everything any subcommand needs: the run function, the
 //! flight-recorder ring capacity that captures the run without
 //! overwrites, the profile detail cap, the app domain that delimits
-//! ping-pong rounds, and the timeline window width.
+//! ping-pong rounds, the timeline window width, and the health SLO.
 
 use std::rc::Rc;
 
@@ -25,9 +23,9 @@ use crate::video_cpu::{video_server_utilization_traced, VideoSystem};
 /// simulated clock, so any exporter over the recorder is byte-identical
 /// across runs.
 pub struct Scenario {
-    /// Registry key (what the CLIs take on the command line).
+    /// Registry key (what `plexus-replay` takes on the command line).
     pub name: &'static str,
-    /// One line of help shown by `--list`.
+    /// One line of help shown by `plexus-replay list`.
     pub help: &'static str,
     /// Flight-recorder ring capacity: large enough that the scenario is
     /// captured without overwrites.
@@ -42,7 +40,7 @@ pub struct Scenario {
     /// scenario folds into tens of windows, not thousands.
     pub window_ns: u64,
     /// The scenario's service-level objectives, evaluated per sealed live
-    /// window by `plexus-health` (`None`: the scenario has no declared
+    /// window by `plexus-replay health` (`None`: the scenario has no declared
     /// health envelope — every window passes). Thresholds are calibrated
     /// against the committed goldens with headroom; a deliberately
     /// *breaching* envelope documents a known-bad configuration (the
@@ -61,7 +59,8 @@ impl Scenario {
         self.run_with_slo(self.slo.clone())
     }
 
-    /// [`Scenario::run`] with the SLO replaced (CLI threshold overrides).
+    /// [`Scenario::run`] with the SLO replaced (`plexus-replay health`
+    /// threshold overrides).
     pub fn run_with_slo(&self, slo: Option<Slo>) -> Rc<Recorder> {
         let recorder = Recorder::new(self.ring);
         let mut cfg = LiveConfig::new(self.window_ns);
@@ -134,7 +133,7 @@ fn run_tx_fanout(rec: &Rc<Recorder>) {
     );
 }
 
-/// Every scenario the observability CLIs can replay.
+/// Every scenario `plexus-replay` can replay.
 pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "udp_rtt",
@@ -259,7 +258,7 @@ pub const SCENARIOS: &[Scenario] = &[
 ];
 
 /// Looks up a scenario by name, accepting `examples/<name>` and
-/// `<name>.rs` spellings like the CLIs always have.
+/// `<name>.rs` spellings.
 pub fn find(raw: &str) -> Option<&'static Scenario> {
     let name = raw.trim_start_matches("examples/").trim_end_matches(".rs");
     SCENARIOS.iter().find(|s| s.name == name)

@@ -209,7 +209,7 @@ pub fn udp_rtt_samples_ns_with_model(
 /// Runs the Plexus ping-pong with a flight recorder installed across the
 /// whole world (both machines' CPUs, NICs, and the engine). Each completed
 /// round trip also lands in the recorder's `udp.rtt_ns` histogram. Used by
-/// the `plexus-trace` CLI and the determinism tests.
+/// the scenario registry (`plexus-replay`) and the determinism tests.
 pub fn udp_rtt_traced(
     interrupt: bool,
     link: &Link,

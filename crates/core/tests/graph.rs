@@ -13,6 +13,7 @@ use plexus_net::udp::UdpConfig;
 use plexus_sim::nic::NicProfile;
 use plexus_sim::time::SimDuration;
 use plexus_sim::World;
+use plexus_trace::{CounterKey, Recorder, Scope, TraceEvent};
 
 fn ip(last: u8) -> Ipv4Addr {
     Ipv4Addr::new(10, 0, 0, last)
@@ -1009,22 +1010,41 @@ fn dispatcher_trace_shows_the_packet_walk() {
             AppHandler::interrupt(|_, _| {}),
         )
         .unwrap();
-    server.dispatcher().enable_trace(16);
+    let rec = Recorder::new(1024);
+    server.machine().cpu().set_recorder(Some(rec.clone()));
     cep.send(world.engine_mut(), ip(2), 7, b"traced").unwrap();
     world.run();
-    let trace = server.dispatcher().trace();
-    let names: Vec<&str> = trace.iter().map(|t| t.event.as_str()).collect();
-    // Entries land in completion order, so the nested raises (upper
+    let exits: Vec<String> = rec
+        .events()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::HandlerExit { event, .. } => Some(rec.name(event)),
+            _ => None,
+        })
+        .collect();
+    // Handlers exit in completion order, so the nested raises (upper
     // layers) appear before the layer that raised them: the packet's walk
     // through Figure 1's graph, read bottom-up.
     assert_eq!(
-        names,
-        vec!["Udp.PacketRecv", "Ip.PacketRecv", "Ethernet.PacketRecv"],
-        "trace: {trace:?}"
+        exits,
+        vec!["Udp.PacketRecv", "Ip.PacketRecv", "Ethernet.PacketRecv"]
     );
     // The Ip raise saw the ICMP and TCP guards reject; Ethernet saw ARP's.
-    assert_eq!(trace[1].rejected, 2);
-    assert_eq!(trace[2].rejected, 1);
+    // A reject is either a guard run that failed or a guard the demux
+    // index skipped.
+    let rejects = |event: &str| {
+        let label = rec.intern(event);
+        let get = |scope, metric| {
+            rec.registry().get(CounterKey {
+                scope,
+                label,
+                metric,
+            })
+        };
+        get(Scope::Guard, "verified.rejects") + get(Scope::Event, "demux.avoided")
+    };
+    assert_eq!(rejects("Ip.PacketRecv"), 2);
+    assert_eq!(rejects("Ethernet.PacketRecv"), 1);
 }
 
 #[test]

@@ -21,7 +21,7 @@
 //!   it at `chrome://tracing` or <https://ui.perfetto.dev>) and
 //!   [`export::stats_json`] (compact machine-readable stats), plus a tiny
 //!   JSON well-formedness checker ([`json::validate`]) used by tests and
-//!   the `plexus-trace` CLI to self-check output.
+//!   `plexus-replay` to self-check output.
 //!
 //! The recorder is plumbed as an `Option<Rc<Recorder>>` hung off the
 //! simulated CPU/NIC/engine — **not** a global — so instrumented code pays

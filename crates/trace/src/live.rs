@@ -40,7 +40,7 @@
 //! * **SLO health** — a declarative [`Slo`] (p99 ceiling, drop-rate
 //!   ceiling, goodput floor) evaluated per sealed window; breaches
 //!   accumulate in the report and in `trace.live.slo_breaches`, which is
-//!   what the `plexus-health` CLI turns into a CI exit code.
+//!   what `plexus-replay health` turns into a CI exit code.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};

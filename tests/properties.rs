@@ -658,8 +658,6 @@ mod demux_equivalence {
             }
             let single = Dispatcher::new();
             let batched = Dispatcher::new();
-            single.enable_trace(256);
-            batched.enable_trace(256);
 
             let log_one: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
             let log_bat: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
@@ -716,14 +714,6 @@ mod demux_equivalence {
                 &*log_bat.borrow(),
                 "same handlers in the same order"
             );
-            // Dispatcher trace rings agree modulo timestamps.
-            let strip = |d: &Dispatcher| -> Vec<(String, u32, u32)> {
-                d.trace()
-                    .into_iter()
-                    .map(|e| (e.event, e.invoked, e.rejected))
-                    .collect()
-            };
-            prop_assert_eq!(strip(&single), strip(&batched), "trace rings diverge");
             // Flight-recorder streams agree modulo timestamps: same records
             // (guard evals, verdicts, handler spans) for the same packets.
             let records = |r: &Recorder| -> Vec<(Option<u64>, plexus::trace::TraceEvent)> {
