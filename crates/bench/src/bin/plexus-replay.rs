@@ -21,8 +21,8 @@
 //!   goodput, drops by reason, rx-ring highwater, interrupt rate and
 //!   nearest-rank p50/p99; `<s>.journeys.json`, per-journey hop ledgers
 //!   that telescope to the measured end-to-end time exactly; and
-//!   `BENCH_timeline_<s>.json`, the worst-window metrics that
-//!   `plexus-bench-diff` gates (the window *index* exactly, so a transient
+//!   `BENCH_timeline_<s>.json`, the worst-window metrics in the bench
+//!   report format (the window *index* is gated exactly, so a transient
 //!   that merely moves in time still fails).
 //! * `health` — runs the live tier, judges every window against the
 //!   scenario's SLO at seal time, prints a per-window verdict table, and

@@ -1,10 +1,10 @@
 //! Bench regression gate: compares a freshly generated `BENCH_*.json`
-//! report against a committed golden and produces a machine-readable
-//! verdict.
+//! report against a committed golden and produces a verdict.
 //!
 //! The golden file is authoritative for both the expected values *and*
 //! the per-metric tolerance (`tol_pct`, stamped by
-//! [`crate::report::BenchReport`]): latency fields (`mean_us`, `p50_us`,
+//! [`crate::report::BenchReport`]; a golden metric without one is an
+//! error, not a default): latency fields (`mean_us`, `p50_us`,
 //! `p99_us`) and scalar `value`s may deviate by at most that relative
 //! percentage; `samples` and every entry under `counts` must match
 //! exactly (the simulation is deterministic — a changed count is a
@@ -13,7 +13,7 @@
 //! reported as informational and do not fail the gate, so adding a
 //! metric does not require touching the golden in the same change.
 
-use plexus_trace::json::{self, Value};
+use plexus_trace::json::Value;
 
 /// One compared quantity.
 #[derive(Clone, Debug, PartialEq)]
@@ -24,8 +24,8 @@ pub struct Check {
     pub golden: f64,
     /// Fresh value (`None` when the metric/field disappeared).
     pub fresh: Option<f64>,
-    /// Relative deviation in percent (0 for exact-match fields that
-    /// matched).
+    /// Relative deviation in percent (infinite when the fresh value is
+    /// missing, or when the golden is 0 and the fresh value is not).
     pub dev_pct: f64,
     /// Allowed deviation in percent (0 for exact-match fields).
     pub tol_pct: f64,
@@ -36,8 +36,6 @@ pub struct Check {
 /// The verdict for one golden/fresh report pair.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DiffReport {
-    /// Bench name from the golden file.
-    pub bench: String,
     /// Every comparison performed.
     pub checks: Vec<Check>,
     /// Metric names present only in the fresh report (informational).
@@ -53,43 +51,6 @@ impl DiffReport {
     /// Failed checks only.
     pub fn failures(&self) -> Vec<&Check> {
         self.checks.iter().filter(|c| !c.ok).collect()
-    }
-
-    /// Renders the verdict as JSON (deterministic ordering: checks appear
-    /// in golden-document order).
-    pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"bench\": \"{}\", \"ok\": {}, \"checks\": [",
-            json::escape(&self.bench),
-            self.ok()
-        );
-        for (i, c) in self.checks.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n  {{\"name\": \"{}\", \"golden\": {:.3}, \"fresh\": {}, \
-                 \"dev_pct\": {:.3}, \"tol_pct\": {:.3}, \"ok\": {}}}",
-                json::escape(&c.name),
-                c.golden,
-                match c.fresh {
-                    Some(f) => format!("{f:.3}"),
-                    None => String::from("null"),
-                },
-                c.dev_pct,
-                c.tol_pct,
-                c.ok
-            ));
-        }
-        out.push_str("\n], \"new_metrics\": [");
-        for (i, m) in self.new_metrics.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\"", json::escape(m)));
-        }
-        out.push_str("]}\n");
-        out
     }
 }
 
@@ -112,18 +73,28 @@ fn rel_dev_pct(golden: f64, fresh: f64) -> f64 {
     }
 }
 
-/// Compares two parsed `BENCH_*.json` documents. `default_tol_pct`
-/// applies to golden metrics that predate the `tol_pct` field.
-pub fn diff_reports(
-    golden: &Value,
-    fresh: &Value,
-    default_tol_pct: f64,
-) -> Result<DiffReport, String> {
+/// Compares one golden number with its fresh counterpart: within
+/// `tol_pct` relative deviation, so exactly when `tol_pct` is 0.
+fn check(name: String, golden: f64, fresh: Option<f64>, tol_pct: f64) -> Check {
+    let dev_pct = fresh.map_or(f64::INFINITY, |f| rel_dev_pct(golden, f));
+    Check {
+        name,
+        golden,
+        fresh,
+        dev_pct,
+        tol_pct,
+        ok: dev_pct <= tol_pct,
+    }
+}
+
+/// Compares two parsed `BENCH_*.json` documents. Errors when either is
+/// not a bench report, the bench names differ, or a golden metric has no
+/// `tol_pct`.
+pub fn diff_reports(golden: &Value, fresh: &Value) -> Result<DiffReport, String> {
     let bench = golden
         .get("bench")
         .and_then(Value::as_str)
-        .ok_or("golden: missing \"bench\"")?
-        .to_string();
+        .ok_or("golden: missing \"bench\"")?;
     let fresh_bench = fresh
         .get("bench")
         .and_then(Value::as_str)
@@ -150,47 +121,26 @@ pub fn diff_reports(
         let tol = gm
             .get("tol_pct")
             .and_then(Value::as_f64)
-            .unwrap_or(default_tol_pct);
+            .ok_or_else(|| format!("golden metric {name}: missing \"tol_pct\""))?;
         let fm = fresh_metrics.iter().find(|m| metric_name(m) == name);
 
-        // Tolerance-checked fields.
-        for field in ["mean_us", "p50_us", "p99_us", "value"] {
+        // Sample counts and worst-window indices are exact: the
+        // simulation is deterministic, and a transient that moves to a
+        // different window is a behaviour change even at equal magnitude.
+        let fields = [
+            ("mean_us", tol),
+            ("p50_us", tol),
+            ("p99_us", tol),
+            ("value", tol),
+            ("samples", 0.0),
+            ("window", 0.0),
+        ];
+        for (field, tol) in fields {
             let Some(gv) = gm.get(field).and_then(Value::as_f64) else {
                 continue;
             };
             let fv = fm.and_then(|m| m.get(field)).and_then(Value::as_f64);
-            let (dev, ok) = match fv {
-                Some(fv) => {
-                    let dev = rel_dev_pct(gv, fv);
-                    (dev, dev <= tol)
-                }
-                None => (f64::INFINITY, false),
-            };
-            checks.push(Check {
-                name: format!("{name}.{field}"),
-                golden: gv,
-                fresh: fv,
-                dev_pct: if dev.is_finite() { dev } else { 999.999 },
-                tol_pct: tol,
-                ok,
-            });
-        }
-        // Exact fields: sample counts and worst-window indices (the
-        // simulation is deterministic; a transient that moves to a
-        // different window is a behaviour change even at equal magnitude).
-        for field in ["samples", "window"] {
-            let Some(gv) = gm.get(field).and_then(Value::as_f64) else {
-                continue;
-            };
-            let fv = fm.and_then(|m| m.get(field)).and_then(Value::as_f64);
-            checks.push(Check {
-                name: format!("{name}.{field}"),
-                golden: gv,
-                fresh: fv,
-                dev_pct: 0.0,
-                tol_pct: 0.0,
-                ok: fv == Some(gv),
-            });
+            checks.push(check(format!("{name}.{field}"), gv, fv, tol));
         }
     }
 
@@ -202,14 +152,7 @@ pub fn diff_reports(
                 .get("counts")
                 .and_then(|c| c.get(name))
                 .and_then(Value::as_f64);
-            checks.push(Check {
-                name: format!("counts.{name}"),
-                golden: gv,
-                fresh: fv,
-                dev_pct: 0.0,
-                tol_pct: 0.0,
-                ok: fv == Some(gv),
-            });
+            checks.push(check(format!("counts.{name}"), gv, fv, 0.0));
         }
     }
 
@@ -220,7 +163,6 @@ pub fn diff_reports(
         .collect();
 
     Ok(DiffReport {
-        bench,
         checks,
         new_metrics,
     })
@@ -229,7 +171,6 @@ pub fn diff_reports(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::DEFAULT_TOL_PCT;
     use plexus_trace::json::parse;
 
     const GOLDEN: &str = r#"{"bench": "fig5", "metrics": [
@@ -240,10 +181,9 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let g = parse(GOLDEN).unwrap();
-        let d = diff_reports(&g, &g, DEFAULT_TOL_PCT).unwrap();
+        let d = diff_reports(&g, &g).unwrap();
         assert!(d.ok(), "{:?}", d.failures());
         assert!(d.new_metrics.is_empty());
-        plexus_trace::json::validate(&d.to_json()).expect("verdict JSON valid");
     }
 
     #[test]
@@ -257,7 +197,7 @@ mod tests {
         ], "counts": {"rounds": 50}}"#,
         )
         .unwrap();
-        let d = diff_reports(&g, &fresh, DEFAULT_TOL_PCT).unwrap();
+        let d = diff_reports(&g, &fresh).unwrap();
         assert!(!d.ok());
         let failures = d.failures();
         assert_eq!(failures.len(), 1);
@@ -275,7 +215,7 @@ mod tests {
         ], "counts": {"rounds": 51}}"#,
         )
         .unwrap();
-        let d = diff_reports(&g, &fresh, DEFAULT_TOL_PCT).unwrap();
+        let d = diff_reports(&g, &fresh).unwrap();
         let names: Vec<&str> = d.failures().iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["rtt.samples", "counts.rounds"]);
     }
@@ -290,7 +230,7 @@ mod tests {
         ], "counts": {"rounds": 50}}"#,
         )
         .unwrap();
-        let d = diff_reports(&g, &fresh, DEFAULT_TOL_PCT).unwrap();
+        let d = diff_reports(&g, &fresh).unwrap();
         assert!(!d.ok());
         assert!(d.failures().iter().all(|c| c.name.starts_with("rtt.")));
         assert_eq!(d.new_metrics, vec!["extra"]);
@@ -311,27 +251,24 @@ mod tests {
         ], "counts": {}}"#,
         )
         .unwrap();
-        let d = diff_reports(&g, &moved, DEFAULT_TOL_PCT).unwrap();
+        let d = diff_reports(&g, &moved).unwrap();
         let names: Vec<&str> = d.failures().iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["worst_p99.window"]);
-        let d = diff_reports(&g, &g, DEFAULT_TOL_PCT).unwrap();
+        let d = diff_reports(&g, &g).unwrap();
         assert!(d.ok());
     }
 
     #[test]
-    fn golden_without_tol_uses_the_default() {
+    fn golden_metric_without_tol_is_an_error() {
         let g = parse(r#"{"bench": "old", "metrics": [{"name": "m", "value": 100.0, "unit": "x"}], "counts": {}}"#).unwrap();
-        let fresh = parse(r#"{"bench": "old", "metrics": [{"name": "m", "value": 101.0, "unit": "x"}], "counts": {}}"#).unwrap();
-        let d = diff_reports(&g, &fresh, DEFAULT_TOL_PCT).unwrap();
-        assert!(d.ok(), "1% drift within the 2% default");
-        let d = diff_reports(&g, &fresh, 0.5).unwrap();
-        assert!(!d.ok(), "1% drift beyond an 0.5% default");
+        let err = diff_reports(&g, &g).unwrap_err();
+        assert!(err.contains("tol_pct"), "{err}");
     }
 
     #[test]
     fn mismatched_bench_names_error() {
         let g = parse(r#"{"bench": "a", "metrics": [], "counts": {}}"#).unwrap();
         let f = parse(r#"{"bench": "b", "metrics": [], "counts": {}}"#).unwrap();
-        assert!(diff_reports(&g, &f, DEFAULT_TOL_PCT).is_err());
+        assert!(diff_reports(&g, &f).is_err());
     }
 }

@@ -10,32 +10,29 @@
 //!   bound);
 //! * **interpreted** — the reference [`eval_metered`] interpreter over
 //!   the verified IR;
-//! * **compiled** — the fused-closure tier [`verify`] builds at install
+//! * **compiled** — the fused-closure tier [`verify()`] builds at install
 //!   time ([`VerifiedProgram::compiled`]): constants folded, loads
 //!   pre-bounds-checked, load/branch pairs fused.
 //!
 //! Two kinds of output:
 //!
 //! * **wall-clock** ns/eval on the host (printed, *not* committed — host
-//!   speed is not deterministic). The harness asserts the compiled tier
-//!   is at least 2x the interpreter on the full 16-instruction walk,
-//!   which is this PR's acceptance bar.
+//!   speed is not deterministic). The bench asserts the compiled tier
+//!   is at least 2x the interpreter on the full 16-instruction walk.
 //! * **deterministic** verdict counts, metered cycles, and compile-shape
 //!   stats over a fixed 512-packet stream — identical across tiers by
-//!   construction, written to `results/BENCH_guard_eval.json` for the CI
-//!   regression gate.
-//!
-//! Run with `cargo run -p plexus-bench --bin guard_eval`.
+//!   construction, gated against `results/BENCH_guard_eval.json`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use plexus_bench::report::{self, BenchReport};
-use plexus_bench::table;
 use plexus_kernel::filter::{
     conjunction, eval_metered, verify, EventKind, Field, Operand, Packet, Test, VerifiedProgram,
     Width,
 };
+
+use crate::report::BenchReport;
+use crate::table;
 
 /// A UDP-shaped event with a payload head, enough to exercise field and
 /// payload loads without building a stack.
@@ -158,7 +155,9 @@ fn stream() -> Vec<Dgram> {
         .collect()
 }
 
-fn main() {
+/// Times the three tiers, asserts the compiled one is >= 2x the
+/// interpreter, and reports the deterministic stream: `guard_eval`.
+pub fn run() -> BenchReport {
     let vp = sixteen_insn_program();
     let compiled = vp.compiled();
     let cs = compiled.stats();
@@ -222,7 +221,7 @@ fn main() {
     println!("install time; what remains per instruction is the branch itself");
     println!("(DESIGN.md §18).");
 
-    // The PR's acceptance bar: >= 2x on the full 16-instruction walk.
+    // The compiled tier's bar: >= 2x on the full 16-instruction walk.
     let (_, w_interp_hit, w_compiled_hit) = measured[0];
     assert!(
         w_compiled_hit * 2.0 <= w_interp_hit,
@@ -260,5 +259,5 @@ fn main() {
     report.count("stream/accepts/compiled", accepts);
     report.count("stream/cycles/interpreted", cycles_i);
     report.count("stream/cycles/compiled", cycles_c);
-    report::emit(&report);
+    report
 }

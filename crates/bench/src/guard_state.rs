@@ -17,23 +17,21 @@
 //!
 //! Both implement byte-identical refill semantics, so they accept and
 //! drop exactly the same packets; the difference is purely *where* the
-//! decision runs and what the kernel can prove about it. Emits
-//! `results/BENCH_guard_state.json` for the CI regression gate.
-//!
-//! Run with `cargo run -p plexus-bench --bin guard_state`.
+//! decision runs and what the kernel can prove about it.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use plexus_bench::report::{self, BenchReport};
-use plexus_bench::table;
 use plexus_kernel::dispatcher::{Dispatcher, Guard, HandlerSpec, RaiseCtx};
 use plexus_kernel::filter::{
     conjunction_stateful, verify, EventKind, Field, MapKind, Operand, Packet, StateMap, Test,
 };
 use plexus_kernel::Ephemeral;
 use plexus_sim::{CostModel, Cpu, Engine};
+
+use crate::report::BenchReport;
+use crate::table;
 
 /// Datagrams per flow, arriving back-to-back (faster than refill).
 const BURST: u64 = 16;
@@ -76,7 +74,7 @@ struct RunResult {
 /// Raises `BURST` datagrams for each of `flows` flows (consecutively per
 /// flow, back-to-back in simulated time) and returns the accept/drop
 /// split plus the mean per-packet CPU cost.
-fn run(flows: u32, guard_based: bool) -> RunResult {
+fn run_flows(flows: u32, guard_based: bool) -> RunResult {
     let mut engine = Engine::new();
     let cpu = Cpu::new(CostModel::alpha_3000_400());
     let d = Dispatcher::new();
@@ -198,7 +196,8 @@ fn run(flows: u32, guard_based: bool) -> RunResult {
     }
 }
 
-fn main() {
+/// Runs both implementations at 1, 64 and 4096 flows: `guard_state`.
+pub fn run() -> BenchReport {
     println!("Per-flow rate limiting: verified guard map vs. handler-kept table");
     println!(
         "({BURST}-packet bursts per flow, {TOKENS}-token buckets, +{REFILL_PER_MS}/ms refill)"
@@ -208,8 +207,8 @@ fn main() {
     let mut report = BenchReport::new("guard_state");
     let mut rows = Vec::new();
     for flows in [1u32, 64, 4096] {
-        let guard = run(flows, true);
-        let handler = run(flows, false);
+        let guard = run_flows(flows, true);
+        let handler = run_flows(flows, false);
         // Same arithmetic, but not bit-identical accept sets: guard-mode
         // drops are cheaper, so the clock advances differently and a few
         // refill millisecond boundaries land on different packets. The
@@ -262,5 +261,5 @@ fn main() {
     println!("table work — and the guard's state is a verified bounded map the kernel");
     println!("admitted against a static cycle bound, not an unbounded heap table");
     println!("(DESIGN.md §14).");
-    report::emit(&report);
+    report
 }

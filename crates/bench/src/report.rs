@@ -1,17 +1,11 @@
 //! Machine-readable benchmark output.
 //!
-//! Every `src/bin` harness builds a [`BenchReport`] alongside its human
-//! table and hands it to [`emit`]: by default the JSON is written to
-//! `results/BENCH_<name>.json` — the canonical committed output (human
-//! tables go to stdout at run time and are not committed); with `--json`
-//! on the command line it goes to stdout instead, so CI can pipe it
-//! through a JSON parser. Values come from the simulated clock, so the
-//! bytes are identical across runs and the golden files in `results/` can
-//! be diffed.
-
-use std::fs;
-use std::io;
-use std::path::PathBuf;
+//! Every bench in [`crate::suite`] builds a [`BenchReport`] alongside its
+//! human table; `plexus-bench run` writes it as `BENCH_<name>.json`, the
+//! canonical committed output in `results/` (human tables go to stdout at
+//! run time and are not committed), and `plexus-bench check` diffs it
+//! against that golden. Values come from the simulated clock, so the
+//! bytes are identical across runs.
 
 use plexus_trace::json;
 
@@ -20,27 +14,24 @@ fn q(s: &str) -> String {
     format!("\"{}\"", json::escape(s))
 }
 
-/// Default regression tolerance (percent relative deviation) stamped on
-/// every metric; `plexus-bench-diff` reads it back from the golden file.
-pub const DEFAULT_TOL_PCT: f64 = 2.0;
+/// Regression tolerance (percent relative deviation) stamped on every
+/// metric; [`crate::diff`] reads it back from the golden file.
+const TOL_PCT: f64 = 2.0;
 
 /// One measured quantity. Sample-based metrics carry mean/p50/p99 in
 /// simulated microseconds; scalar metrics carry a single value.
+#[derive(Default)]
 struct Metric {
     name: String,
-    /// `(mean, p50, p99)` in µs for sample-based metrics.
-    latency: Option<(f64, f64, f64)>,
-    /// Sample count behind `latency` (0 for scalar metrics).
-    samples: u64,
+    /// `(mean, p50, p99)` in µs and the sample count behind them, for
+    /// sample-based metrics.
+    latency: Option<(f64, f64, f64, u64)>,
     /// Scalar value + unit, e.g. CPU utilization in percent.
     scalar: Option<(f64, &'static str)>,
     /// For worst-window metrics: the timeline window index the value came
-    /// from. Compared exactly by `plexus-bench-diff` — in a deterministic
+    /// from. Compared exactly by [`crate::diff`] — in a deterministic
     /// simulation a shifted worst window is a behaviour change.
     window: Option<u64>,
-    /// Allowed relative deviation (percent) before `plexus-bench-diff`
-    /// flags a regression against this metric in a golden file.
-    tol_pct: f64,
 }
 
 /// A machine-readable benchmark result.
@@ -51,14 +42,14 @@ pub struct BenchReport {
 }
 
 /// Nearest-rank percentile over a sorted slice.
-fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
+pub(crate) fn percentile(sorted_ns: &[u64], q: f64) -> u64 {
     let n = sorted_ns.len();
     let rank = ((q / 100.0) * n as f64).ceil() as usize;
     sorted_ns[rank.clamp(1, n) - 1]
 }
 
 impl BenchReport {
-    /// Starts a report for the benchmark binary `name`.
+    /// Starts a report for the bench `name`.
     pub fn new(name: &str) -> BenchReport {
         BenchReport {
             name: name.to_string(),
@@ -79,11 +70,9 @@ impl BenchReport {
                 mean / 1000.0,
                 percentile(&sorted, 50.0) as f64 / 1000.0,
                 percentile(&sorted, 99.0) as f64 / 1000.0,
+                sorted.len() as u64,
             )),
-            samples: sorted.len() as u64,
-            scalar: None,
-            window: None,
-            tol_pct: DEFAULT_TOL_PCT,
+            ..Metric::default()
         });
     }
 
@@ -91,11 +80,8 @@ impl BenchReport {
     pub fn latency_us(&mut self, name: &str, mean_us: f64) {
         self.metrics.push(Metric {
             name: name.to_string(),
-            latency: Some((mean_us, mean_us, mean_us)),
-            samples: 1,
-            scalar: None,
-            window: None,
-            tol_pct: DEFAULT_TOL_PCT,
+            latency: Some((mean_us, mean_us, mean_us, 1)),
+            ..Metric::default()
         });
     }
 
@@ -104,11 +90,8 @@ impl BenchReport {
     pub fn scalar(&mut self, name: &str, value: f64, unit: &'static str) {
         self.metrics.push(Metric {
             name: name.to_string(),
-            latency: None,
-            samples: 0,
             scalar: Some((value, unit)),
-            window: None,
-            tol_pct: DEFAULT_TOL_PCT,
+            ..Metric::default()
         });
     }
 
@@ -119,31 +102,15 @@ impl BenchReport {
     pub fn scalar_windowed(&mut self, name: &str, value: f64, unit: &'static str, window: u64) {
         self.metrics.push(Metric {
             name: name.to_string(),
-            latency: None,
-            samples: 0,
             scalar: Some((value, unit)),
             window: Some(window),
-            tol_pct: DEFAULT_TOL_PCT,
+            ..Metric::default()
         });
     }
 
     /// Adds an event count.
     pub fn count(&mut self, name: &str, value: u64) {
         self.counts.push((name.to_string(), value));
-    }
-
-    /// Overrides the regression tolerance for the named metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no metric with that name was added — a typo here would
-    /// otherwise silently leave the default tolerance in place.
-    pub fn tol(&mut self, metric: &str, tol_pct: f64) {
-        self.metrics
-            .iter_mut()
-            .find(|m| m.name == metric)
-            .unwrap_or_else(|| panic!("no metric named {metric}"))
-            .tol_pct = tol_pct;
     }
 
     /// Renders the report as JSON (deterministic: fixed key order, fixed
@@ -157,10 +124,9 @@ impl BenchReport {
                 out.push_str(", ");
             }
             out.push_str(&format!("{{\"name\": {}", q(&m.name)));
-            if let Some((mean, p50, p99)) = m.latency {
+            if let Some((mean, p50, p99, samples)) = m.latency {
                 out.push_str(&format!(
-                    ", \"mean_us\": {mean:.3}, \"p50_us\": {p50:.3}, \"p99_us\": {p99:.3}, \"samples\": {}",
-                    m.samples
+                    ", \"mean_us\": {mean:.3}, \"p50_us\": {p50:.3}, \"p99_us\": {p99:.3}, \"samples\": {samples}"
                 ));
             }
             if let Some((value, unit)) = m.scalar {
@@ -169,7 +135,7 @@ impl BenchReport {
             if let Some(w) = m.window {
                 out.push_str(&format!(", \"window\": {w}"));
             }
-            out.push_str(&format!(", \"tol_pct\": {:.1}}}", m.tol_pct));
+            out.push_str(&format!(", \"tol_pct\": {TOL_PCT:.1}}}"));
         }
         out.push_str("], \"counts\": {");
         for (i, (name, value)) in self.counts.iter().enumerate() {
@@ -181,31 +147,6 @@ impl BenchReport {
         out.push_str("}}");
         debug_assert!(json::validate(&out).is_ok(), "report JSON malformed");
         out
-    }
-
-    /// Writes `results/BENCH_<name>.json`, creating `results/` if needed.
-    pub fn write(&self) -> io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("BENCH_{}.json", self.name));
-        let mut body = self.to_json();
-        body.push('\n');
-        fs::write(&path, body)?;
-        Ok(path)
-    }
-}
-
-/// Standard tail for a bench binary: with `--json` among the arguments the
-/// report goes to stdout (and nothing is written); otherwise it lands in
-/// `results/BENCH_<name>.json`.
-pub fn emit(report: &BenchReport) {
-    if std::env::args().any(|a| a == "--json") {
-        println!("{}", report.to_json());
-        return;
-    }
-    match report.write() {
-        Ok(path) => eprintln!("machine-readable report: {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_{}.json: {e}", report.name),
     }
 }
 
@@ -226,9 +167,7 @@ mod tests {
         assert!(a.contains("\"bench\": \"unit_test\""));
         assert!(a.contains("\"p99_us\": 400.000"));
         assert!(a.contains("\"rounds\": 4"));
-        assert!(a.contains("\"tol_pct\": 2.0"), "default tolerance stamped");
-        r.tol("cpu", 5.0);
-        assert!(r.to_json().contains("\"tol_pct\": 5.0"));
+        assert!(a.contains("\"tol_pct\": 2.0"), "tolerance stamped");
     }
 
     #[test]

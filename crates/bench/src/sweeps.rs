@@ -8,30 +8,29 @@
 //!    endpoint is a guard on `Udp.PacketRecv`, so this is the
 //!    packet-filter scaling question (Mogul/Rashid/Accetta, the paper's
 //!    \[MRA87\]) asked of the Plexus dispatcher in simulated time — and
-//!    the hash index's answer: a flat line. Emits
-//!    `results/BENCH_guard_scaling.json` for CI.
-//!
-//! Run with `cargo run -p plexus-bench --bin sweeps`.
+//!    the hash index's answer: a flat line.
 
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
 
-use plexus_bench::report::{self, BenchReport};
-use plexus_bench::table;
-use plexus_bench::udp_rtt::{udp_rtt_us, Link, System};
 use plexus_core::{AppHandler, PlexusStack, StackConfig, UdpRecv};
 use plexus_kernel::domain::ExtensionSpec;
 use plexus_net::ether::MacAddr;
 use plexus_net::udp::UdpConfig;
 use plexus_sim::World;
 
-fn main() {
+use crate::report::BenchReport;
+use crate::table;
+use crate::udp_rtt::{udp_rtt_us, Link, System};
+
+/// Runs both sweeps into one report, `sweeps`.
+pub fn run() -> BenchReport {
     let mut report = BenchReport::new("sweeps");
     payload_sweep(&mut report);
     println!();
     guard_scaling(&mut report);
-    report::emit(&report);
+    report
 }
 
 fn payload_sweep(report: &mut BenchReport) {
@@ -153,7 +152,6 @@ fn guard_scaling(report: &mut BenchReport) {
     println!("Guard scaling: Ethernet UDP RTT vs. guards on the server's Udp.PacketRecv");
     println!("(MRA87's packet-filter scaling question, linear walk vs. hash demux)");
     println!();
-    let mut scaling = BenchReport::new("guard_scaling");
     let mut rows = Vec::new();
     let mut base_linear = 0.0;
     let mut base_indexed = 0.0;
@@ -166,9 +164,7 @@ fn guard_scaling(report: &mut BenchReport) {
             base_indexed = indexed;
         }
         for (mode, us) in [("linear", linear), ("indexed", indexed)] {
-            let name = format!("guard_scaling/{mode}/guards_{guards:03}");
-            report.latency_us(&name, us);
-            scaling.latency_us(&name, us);
+            report.latency_us(&format!("guard_scaling/{mode}/guards_{guards:03}"), us);
         }
         rows.push(vec![
             guards.to_string(),
@@ -194,9 +190,4 @@ fn guard_scaling(report: &mut BenchReport) {
     println!("The linear walk grows at ~0.3 us per guard; the hash index probes");
     println!("once per raise and stays flat no matter how many endpoints bind");
     println!("(DESIGN.md §11).");
-    // Always materialize the golden, even under `--json` (CI validates it).
-    match scaling.write() {
-        Ok(path) => eprintln!("guard-scaling report: {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_guard_scaling.json: {e}"),
-    }
 }
