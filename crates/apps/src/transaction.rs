@@ -32,7 +32,6 @@ use plexus_core::{IpRecv, PlexusError, PlexusStack};
 use plexus_kernel::domain::{ExtensionSpec, LinkedExtension};
 use plexus_kernel::RaiseCtx;
 use plexus_net::ip::proto;
-use plexus_net::mbuf::Mbuf;
 use plexus_net::tcp::{TcpFlags, TcpSegment};
 use plexus_sim::engine::TimerHandle;
 use plexus_sim::time::SimDuration;
@@ -68,10 +67,6 @@ impl TransactionServer {
         let s = stack.clone();
         let served2 = served.clone();
         let handler: TransactionHandler = Rc::new(handler);
-        // Parse scratch reused across segments: single-segment chains (the
-        // common case) are peeked in place; only spilled chains copy, and
-        // into this one retained buffer rather than a fresh Vec per packet.
-        let scratch = RefCell::new(Vec::new());
         stack
             .tcp()
             .claim_special(ext, &[port], move |ctx, ev: &IpRecv| {
@@ -80,16 +75,7 @@ impl TransactionServer {
                 // slimmer per-packet work of the transaction discipline.
                 ctx.lease.charge(model.tcp_proc / 2);
                 ctx.lease.charge(model.checksum(ev.payload.total_len()));
-                let total = ev.payload.total_len();
-                let mut scratch = scratch.borrow_mut();
-                let bytes: &[u8] = if ev.payload.head().len() == total {
-                    ev.payload.head()
-                } else {
-                    scratch.clear();
-                    ev.payload.copy_into(0, total, &mut scratch);
-                    &scratch
-                };
-                let Some(seg) = TcpSegment::parse(ev.src, ev.dst, bytes) else {
+                let Some(seg) = TcpSegment::parse(ev.src, ev.dst, &ev.payload) else {
                     return;
                 };
                 // Requests are SYN-without-ACK segments carrying data.
@@ -111,8 +97,12 @@ impl TransactionServer {
                 ctx.lease.charge(model.tcp_proc / 2);
                 ctx.lease
                     .charge(model.checksum(reply.payload.len() + plexus_net::tcp::TCP_HDR_LEN));
-                let wire = reply.to_bytes(ev.dst, ev.src);
-                s.send_raw_ip(ctx, ev.src, proto::TCP, Mbuf::from_payload(64, &wire));
+                s.send_raw_ip(
+                    ctx,
+                    ev.src,
+                    proto::TCP,
+                    reply.to_mbuf(ev.dst, ev.src, false),
+                );
             })?;
         Ok(TransactionServer { served })
     }
@@ -186,23 +176,13 @@ impl TransactionClient {
             retries: Cell::new(0),
         });
         let me = inner.clone();
-        let scratch = RefCell::new(Vec::new());
         stack
             .tcp()
             .claim_special(ext, &[local_port], move |ctx, ev: &IpRecv| {
                 let model = ctx.lease.model().clone();
                 ctx.lease.charge(model.tcp_proc / 2);
                 ctx.lease.charge(model.checksum(ev.payload.total_len()));
-                let total = ev.payload.total_len();
-                let mut scratch = scratch.borrow_mut();
-                let bytes: &[u8] = if ev.payload.head().len() == total {
-                    ev.payload.head()
-                } else {
-                    scratch.clear();
-                    ev.payload.copy_into(0, total, &mut scratch);
-                    &scratch
-                };
-                let Some(seg) = TcpSegment::parse(ev.src, ev.dst, bytes) else {
+                let Some(seg) = TcpSegment::parse(ev.src, ev.dst, &ev.payload) else {
                     return;
                 };
                 // Responses are SYN+ACK segments echoing the id in `ack`.
@@ -286,19 +266,14 @@ impl ClientInner {
         let model = lease.model().clone();
         lease.charge(model.tcp_proc / 2);
         lease.charge(model.checksum(seg.payload.len() + plexus_net::tcp::TCP_HDR_LEN));
-        let wire = seg.to_bytes(me.stack.ip(), me.server.0);
+        let wire = seg.to_mbuf(me.stack.ip(), me.server.0, false);
         {
             let mut ctx = RaiseCtx {
                 engine,
                 lease: &mut lease,
             };
             let stack = me.stack.clone();
-            stack.send_raw_ip(
-                &mut ctx,
-                me.server.0,
-                proto::TCP,
-                Mbuf::from_payload(64, &wire),
-            );
+            stack.send_raw_ip(&mut ctx, me.server.0, proto::TCP, wire);
         }
         // Arm the retry timer.
         let me2 = me.clone();

@@ -135,8 +135,7 @@ impl TcpLayer {
         let model = lease.model().clone();
         lease.charge(model.tcp_proc);
         lease.charge(model.checksum(payload.total_len()));
-        let bytes = payload.to_vec();
-        let Some(seg) = TcpSegment::parse(hdr.src, hdr.dst, &bytes) else {
+        let Some(seg) = TcpSegment::parse(hdr.src, hdr.dst, payload) else {
             return;
         };
         let key = (seg.dst_port, hdr.src, seg.src_port);
@@ -263,8 +262,7 @@ impl TcpSocket {
         for seg in &actions.segments {
             lease.charge(model.tcp_proc);
             lease.charge(model.checksum(seg.payload.len() + TCP_HDR_LEN));
-            let bytes = seg.to_bytes(self.layer.shared.ip, rip);
-            let m = Mbuf::from_payload(64, &bytes);
+            let m = seg.to_mbuf(self.layer.shared.ip, rip, false);
             self.layer
                 .shared
                 .ip_output(engine, lease, rip, proto::TCP, &m);

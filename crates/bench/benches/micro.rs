@@ -261,9 +261,9 @@ fn bench_tcp_wire(c: &mut Criterion) {
     group.bench_function("serialize_1460", |b| {
         b.iter(|| black_box(&seg).to_bytes(a, bip));
     });
-    let bytes = seg.to_bytes(a, bip);
+    let m = seg.to_mbuf(a, bip, false);
     group.bench_function("parse_1460", |b| {
-        b.iter(|| TcpSegment::parse(a, bip, black_box(&bytes)).unwrap());
+        b.iter(|| TcpSegment::parse(a, bip, black_box(&m)).unwrap());
     });
     group.finish();
 }

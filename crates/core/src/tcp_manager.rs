@@ -102,9 +102,6 @@ impl TcpManager {
         );
         let s = shared.clone();
         let m = mgr.clone();
-        // Scratch buffer reused across segments: parsing needs contiguous
-        // bytes, but the allocation should not recur per packet.
-        let scratch = std::cell::RefCell::new(Vec::new());
         shared.install_layer(
             shared.events.ip_recv,
             Some(guard.guard()),
@@ -114,13 +111,9 @@ impl TcpManager {
                 if !s.csum_offload {
                     ctx.lease.charge(model.checksum(ev.payload.total_len()));
                 }
-                let mut bytes = scratch.borrow_mut();
-                bytes.clear();
-                ev.payload.copy_into(0, ev.payload.total_len(), &mut bytes);
-                let Some(segment) = TcpSegment::parse(ev.src, ev.dst, &bytes) else {
+                let Some(segment) = TcpSegment::parse(ev.src, ev.dst, &ev.payload) else {
                     return;
                 };
-                drop(bytes);
                 m.segments_in.set(m.segments_in.get() + 1);
                 let arg = TcpRecv {
                     src: ev.src,
@@ -537,35 +530,23 @@ impl TcpConn {
             // adapter-assisted split, not another trip through TCP.
             ctx.lease.charge(model.tcp_proc);
             let len = seg.payload.len();
-            let nchunks = if len > mss { len.div_ceil(mss) } else { 1 };
-            for i in 0..nchunks {
+            for i in 0..len.div_ceil(mss).max(1) {
                 let off = i * mss;
-                let sub;
-                let wire = if nchunks == 1 {
-                    seg
-                } else {
-                    let end = (off + mss).min(len);
-                    sub = TcpSegment {
-                        src_port: seg.src_port,
-                        dst_port: seg.dst_port,
-                        seq: seg.seq.wrapping_add(off as u32),
-                        ack: seg.ack,
-                        // Interior chunks are plain ACKs; the final chunk
-                        // keeps the original flags (PSH/FIN ride on it).
-                        flags: if end == len { seg.flags } else { TcpFlags::ACK },
-                        window: seg.window,
-                        mss: None,
-                        payload: seg.payload[off..end].to_vec(),
-                    };
-                    &sub
-                };
-                let payload = if shared.csum_offload {
-                    wire.to_mbuf_offload(self.local_ip, rip, 64)
-                } else {
-                    ctx.lease
-                        .charge(model.checksum(wire.payload.len() + TCP_HDR_LEN));
-                    wire.to_mbuf(self.local_ip, rip, 64)
-                };
+                let end = (off + mss).min(len);
+                // Interior chunks are plain ACKs; the final chunk keeps the
+                // original flags (PSH/FIN ride on it).
+                let flags = if end == len { seg.flags } else { TcpFlags::ACK };
+                if !shared.csum_offload {
+                    ctx.lease.charge(model.checksum(end - off + TCP_HDR_LEN));
+                }
+                let payload = seg.encode(
+                    seg.seq.wrapping_add(off as u32),
+                    flags,
+                    &seg.payload[off..end],
+                    self.local_ip,
+                    rip,
+                    shared.csum_offload,
+                );
                 shared.raise_ip_send(
                     ctx,
                     IpSendReq {

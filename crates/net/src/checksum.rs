@@ -6,15 +6,19 @@
 //! extension (§5.2) uses the incremental form to fix up checksums after
 //! rewriting addresses without rescanning the payload.
 
+use plexus_sim::nic::{ones_complement_fold, ones_complement_sum};
+
 use crate::mbuf::Mbuf;
 
 /// Accumulates the one's-complement sum incrementally.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Checksum {
-    sum: u32,
-    /// True if an odd byte is pending (affects alignment of the next chunk).
+    /// Exact integer sum of the 16-bit words fed so far; an odd trailing
+    /// byte is already in it as the high half of its word.
+    sum: u64,
+    /// True if an odd number of bytes has been fed, so the next chunk's
+    /// first byte is the low half of a word already begun.
     odd: bool,
-    pending: u8,
 }
 
 impl Checksum {
@@ -28,34 +32,34 @@ impl Checksum {
     /// stack handed down in the packet header.
     pub fn with_partial(sum: u32) -> Checksum {
         Checksum {
-            sum,
+            sum: u64::from(sum),
             ..Checksum::default()
         }
     }
 
     /// The unfolded partial sum accumulated so far (only meaningful while
-    /// no odd byte is pending).
+    /// no odd byte is pending). Sums beyond 32 bits fold with end-around
+    /// carry, which preserves the checksum.
     pub fn partial(&self) -> u32 {
         debug_assert!(!self.odd, "partial taken mid-byte");
-        self.sum
+        let mut sum = self.sum;
+        while sum >> 32 != 0 {
+            sum = (sum & 0xFFFF_FFFF) + (sum >> 32);
+        }
+        sum as u32
     }
 
     /// Feeds bytes into the sum, handling odd-length chunks across calls.
-    pub fn add(&mut self, bytes: &[u8]) -> &mut Self {
-        let mut i = 0;
-        if self.odd && !bytes.is_empty() {
-            self.sum += u16::from_be_bytes([self.pending, bytes[0]]) as u32;
-            self.odd = false;
-            i = 1;
+    pub fn add(&mut self, mut bytes: &[u8]) -> &mut Self {
+        if self.odd {
+            let Some((&low, rest)) = bytes.split_first() else {
+                return self;
+            };
+            self.sum += u64::from(low);
+            bytes = rest;
         }
-        while i + 1 < bytes.len() {
-            self.sum += u16::from_be_bytes([bytes[i], bytes[i + 1]]) as u32;
-            i += 2;
-        }
-        if i < bytes.len() {
-            self.pending = bytes[i];
-            self.odd = true;
-        }
+        self.sum += ones_complement_sum(bytes);
+        self.odd = bytes.len() % 2 == 1;
         self
     }
 
@@ -71,14 +75,7 @@ impl Checksum {
 
     /// Folds and complements, producing the wire checksum value.
     pub fn finish(&self) -> u16 {
-        let mut sum = self.sum;
-        if self.odd {
-            sum += u16::from_be_bytes([self.pending, 0]) as u32;
-        }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xFFFF) + (sum >> 16);
-        }
-        !(sum as u16)
+        !ones_complement_fold(self.sum)
     }
 }
 
@@ -176,6 +173,7 @@ pub fn incremental_update(check: u16, old: u16, new: u16) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn rfc1071_worked_example() {
@@ -268,6 +266,83 @@ mod tests {
         assert!(verify_checksum(&pkt[pkt.len() - seg.len()..], pseudo));
         pkt[field] ^= 0x40;
         assert!(!verify_checksum(&pkt[pkt.len() - seg.len()..], pseudo));
+    }
+
+    /// Oracle for the word-at-a-time sum, two bytes per step: the exact
+    /// unfolded sum of `partial` and the chunks' big-endian words, an odd
+    /// byte carried into the next chunk.
+    fn byte_pair_sum(partial: u32, chunks: &[&[u8]]) -> u64 {
+        let mut sum = u64::from(partial);
+        let mut pending = None;
+        for &b in chunks.iter().flat_map(|c| c.iter()) {
+            match pending.take() {
+                Some(hi) => sum += u64::from(u16::from_be_bytes([hi, b])),
+                None => pending = Some(b),
+            }
+        }
+        if let Some(hi) = pending {
+            sum += u64::from(u16::from_be_bytes([hi, 0]));
+        }
+        sum
+    }
+
+    fn oracle_checksum(sum: u64) -> u16 {
+        let mut sum = sum;
+        while sum >> 16 != 0 {
+            sum = (sum & 0xFFFF) + (sum >> 16);
+        }
+        !(sum as u16)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn wide_sum_matches_the_byte_pair_oracle(
+            data in proptest::collection::vec(any::<u8>(), 0..3000),
+            cuts in proptest::collection::vec(any::<Index>(), 0..6),
+            partial in any::<u32>(),
+        ) {
+            let mut points: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+            points.push(data.len());
+            points.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut prev = 0;
+            for p in points {
+                chunks.push(&data[prev..p]);
+                prev = p;
+            }
+            let want = byte_pair_sum(partial, &chunks);
+            let mut c = Checksum::with_partial(partial);
+            for chunk in &chunks {
+                c.add(chunk);
+            }
+            prop_assert_eq!(c.finish(), oracle_checksum(want));
+            if data.len() % 2 == 0 && want <= u64::from(u32::MAX) {
+                prop_assert_eq!(u64::from(c.partial()), want, "partial is exact");
+            }
+            let req = CsumOffload {
+                start_from_end: data.len(),
+                field_from_end: 0,
+                pseudo: partial,
+                zero_to_ones: false,
+            };
+            prop_assert_eq!(req.compute_over(&data), oracle_checksum(want));
+        }
+    }
+
+    #[test]
+    fn wide_sum_flushes_its_lanes_before_they_carry() {
+        // All-ones words are the worst case for the 32-bit lanes; this run
+        // crosses two lane flushes and ends on an odd byte.
+        let data = vec![0xFFu8; 2 * (8 << 15) + 13];
+        let mut c = Checksum::new();
+        c.add(&data);
+        assert_eq!(c.finish(), oracle_checksum(byte_pair_sum(0, &[&data])));
+        assert_eq!(
+            plexus_sim::nic::ones_complement_sum(&data),
+            byte_pair_sum(0, &[&data])
+        );
     }
 
     #[test]

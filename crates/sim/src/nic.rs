@@ -93,24 +93,59 @@ impl TxCsum {
     /// gathered wire image into the value to patch into the field.
     pub fn compute_over(&self, frame: &[u8]) -> u16 {
         let region = &frame[frame.len() - self.start_from_end..];
-        let mut sum = self.pseudo;
-        let mut chunks = region.chunks_exact(2);
-        for ch in &mut chunks {
-            sum += u16::from_be_bytes([ch[0], ch[1]]) as u32;
-        }
-        if let [last] = chunks.remainder() {
-            sum += u16::from_be_bytes([*last, 0]) as u32;
-        }
-        while sum >> 16 != 0 {
-            sum = (sum & 0xFFFF) + (sum >> 16);
-        }
-        let v = !(sum as u16);
+        let v = !ones_complement_fold(u64::from(self.pseudo) + ones_complement_sum(region));
         if v == 0 && self.zero_to_ones {
             0xFFFF
         } else {
             v
         }
     }
+}
+
+/// The Internet checksum's (RFC 1071) unfolded partial sum of `bytes`:
+/// the exact integer sum of its big-endian 16-bit words, a trailing odd
+/// byte counting as the high half of a zero-padded word. Every checksum in
+/// the workspace (the adapter's engine above and the stack's incremental
+/// accumulator) sums through this one routine.
+///
+/// It reads eight bytes at a time. Masking each big-endian `u64` splits
+/// its four words into two 32-bit lanes that gain at most `2 * 0xFFFF`
+/// per step; the lanes are added into the total after every 2^15 steps,
+/// before either could carry into its neighbour.
+pub fn ones_complement_sum(bytes: &[u8]) -> u64 {
+    const LANES: u64 = 0x0000_FFFF_0000_FFFF;
+    let (wide, tail) = bytes.split_at(bytes.len() & !7);
+    let mut total = 0u64;
+    for block in wide.chunks(8 * LANE_STEPS) {
+        let mut lanes = 0u64;
+        for w in block.chunks_exact(8) {
+            let x = u64::from_be_bytes(w.try_into().expect("8-byte chunk"));
+            lanes += (x & LANES) + ((x >> 16) & LANES);
+        }
+        total += (lanes & 0xFFFF_FFFF) + (lanes >> 32);
+    }
+    let mut pairs = tail.chunks_exact(2);
+    for p in &mut pairs {
+        total += u64::from(u16::from_be_bytes([p[0], p[1]]));
+    }
+    if let [last] = pairs.remainder() {
+        total += u64::from(*last) << 8;
+    }
+    total
+}
+
+/// Steps of [`ones_complement_sum`]'s wide loop before its 32-bit lanes
+/// are flushed: `LANE_STEPS * 2 * 0xFFFF` still fits in 32 bits.
+const LANE_STEPS: usize = 1 << 15;
+
+/// Folds an unfolded partial sum to 16 bits with end-around carry (not yet
+/// complemented). Zero stays zero; any other multiple of `0xFFFF` folds to
+/// `0xFFFF`.
+pub fn ones_complement_fold(mut sum: u64) -> u16 {
+    while sum >> 16 != 0 {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    sum as u16
 }
 
 /// A received frame plus the journey tag that rode the wire with it.

@@ -235,13 +235,13 @@ proptest! {
     fn parsers_are_total(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
         let a = Ipv4Addr::new(1, 2, 3, 4);
         let b = Ipv4Addr::new(5, 6, 7, 8);
+        let m = Mbuf::from_payload(0, &bytes);
         let _ = arp::ArpPacket::parse(&bytes);
         let _ = icmp::IcmpMessage::parse(&bytes);
-        let _ = TcpSegment::parse(a, b, &bytes);
+        let _ = TcpSegment::parse(a, b, &m);
         let _ = http::parse_request(&bytes);
         let _ = http::parse_response(&bytes);
         let _ = view::<IpView>(&bytes);
-        let m = Mbuf::from_payload(0, &bytes);
         let _ = udp::decapsulate(a, b, UdpConfig::default(), &m);
         let mut r = Reassembler::new();
         let _ = r.offer(&m, 0);
@@ -299,8 +299,7 @@ proptest! {
             mss: None,
             payload,
         };
-        let bytes = seg.to_bytes(a, b);
-        let parsed = TcpSegment::parse(a, b, &bytes).expect("round trip");
+        let parsed = TcpSegment::parse(a, b, &seg.to_mbuf(a, b, false)).expect("round trip");
         prop_assert_eq!(parsed, seg);
     }
 
@@ -325,6 +324,8 @@ proptest! {
     fn tcp_delivers_exactly_once_despite_losses(
         data_len in 1usize..30_000,
         drops in proptest::collection::vec(any::<bool>(), 64),
+        writes in proptest::collection::vec(1usize..6_000, 1..12),
+        gso in 1usize..=8,
     ) {
         let a = Ipv4Addr::new(10, 3, 0, 1);
         let b = Ipv4Addr::new(10, 3, 0, 2);
@@ -332,15 +333,20 @@ proptest! {
 
         let mut server = Tcb::listen((b, 80), 9000);
         let (mut client, syn) = Tcb::connect((a, 4000), (b, 80), 100, 0);
+        client.set_gso_segs(gso);
         let mut to_server: Vec<_> = syn.segments;
         let mut to_client: Vec<TcpSegment> = Vec::new();
         let mut received = Vec::new();
         let mut now: u64 = 0;
-        let mut sent_data = false;
+        // The application writes the stream in random chunks, one per round
+        // once connected, so appends to the send ring interleave with the
+        // drains of ACKs arriving in between.
+        let mut queued = 0;
+        let mut write_sizes = writes.iter().cycle();
         let mut drop_iter = drops.iter().cycle();
         let mut drop_budget = 24; // Bounded losses so the run terminates.
 
-        for _round in 0..10_000 {
+        for _round in 0..100_000 {
             let mut progressed = false;
             for seg in std::mem::take(&mut to_server) {
                 progressed = true;
@@ -360,16 +366,13 @@ proptest! {
                     drop_budget -= 1;
                     continue;
                 }
-                let acts = client.on_segment(&seg, (b, 80), now);
-                if acts.connected && !sent_data {
-                    sent_data = true;
-                    to_server.extend(client.send(&data, now).segments);
-                }
-                to_server.extend(acts.segments);
+                to_server.extend(client.on_segment(&seg, (b, 80), now).segments);
             }
-            if !sent_data && client.state() == plexus::net::tcp::TcpState::Established {
-                sent_data = true;
-                to_server.extend(client.send(&data, now).segments);
+            if queued < data.len() && client.state() == plexus::net::tcp::TcpState::Established {
+                progressed = true;
+                let n = (*write_sizes.next().unwrap()).min(data.len() - queued);
+                to_server.extend(client.send(&data[queued..queued + n], now).segments);
+                queued += n;
             }
             if received.len() >= data.len() {
                 break;
